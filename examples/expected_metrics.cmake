@@ -77,10 +77,15 @@ set(FAILMINE_INGEST_REQUIRED_COUNTERS
 # Counters the columnar table builder flushes on every merge
 # (src/columnar/builder.cpp) — present whenever a dataset was loaded
 # with --columnar, with columnar.rows matching the ingested row count.
+# The two fallback counters (rows permuted because chunks arrived out of
+# order; a timestamp column sealed as plain i64) register on every merge,
+# so they export even at 0.
 set(FAILMINE_COLUMNAR_REQUIRED_COUNTERS
   columnar.rows
   columnar.bytes
-  columnar.dict_entries)
+  columnar.dict_entries
+  columnar.merge_sorted
+  columnar.timestamps_plain)
 set(FAILMINE_COLUMNAR_ROWS_COUNTER columnar.rows)
 
 # Self-metrics the telemetry server pre-registers at start(), so any

@@ -1,9 +1,12 @@
 #include "columnar/builder.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <numeric>
 #include <utility>
 
+#include "ingest/loader.hpp"
 #include "iolog/io_record.hpp"
 #include "joblog/job.hpp"
 #include "obs/metrics.hpp"
@@ -34,6 +37,28 @@ void append_vec(std::vector<T>& dst, std::vector<T>& src) {
   src.shrink_to_fit();
 }
 
+/// Copies a chunk column into rows [at, at + src.size()) of a presized
+/// merged column.
+template <class T>
+void copy_slice(std::vector<T>& dst, std::size_t at,
+                const std::vector<T>& src) {
+  std::copy(src.begin(), src.end(),
+            dst.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+/// copy_slice for dictionary codes, mapped through a merge_from remap.
+void remap_slice(std::vector<std::uint32_t>& dst, std::size_t at,
+                 const std::vector<std::uint32_t>& codes,
+                 const std::vector<std::uint32_t>& remap) {
+  for (std::size_t i = 0; i < codes.size(); ++i) dst[at + i] = remap[codes[i]];
+}
+
+std::vector<std::uint32_t> identity_remap(std::uint32_t size) {
+  std::vector<std::uint32_t> remap(size);
+  std::iota(remap.begin(), remap.end(), std::uint32_t{0});
+  return remap;
+}
+
 /// Stable permutation that sorts rows by `less` (row indices compared).
 template <class Less>
 std::vector<std::size_t> sort_permutation(std::size_t n, Less&& less) {
@@ -52,11 +77,22 @@ void apply_permutation(std::vector<T>& v,
   v = std::move(out);
 }
 
+/// Flushes the build counters. The two fallback counters advance by 0
+/// or 1 on every merge, so an export carries them even when no merge
+/// fell back: columnar.merge_sorted when the chunks arrived out of
+/// canonical order and the rows had to be permuted, and
+/// columnar.timestamps_plain when a non-empty timestamp column sealed as
+/// plain i64 instead of delta-encoded.
 void flush_build_metrics(std::size_t rows, std::size_t bytes,
-                         std::size_t dict_entries) {
-  obs::metrics().counter("columnar.rows").add(rows);
-  obs::metrics().counter("columnar.bytes").add(bytes);
-  obs::metrics().counter("columnar.dict_entries").add(dict_entries);
+                         std::size_t dict_entries, bool permuted,
+                         bool timestamps_plain) {
+  obs::MetricsRegistry& registry = obs::metrics();
+  registry.counter("columnar.rows").add(rows);
+  registry.counter("columnar.bytes").add(bytes);
+  registry.counter("columnar.dict_entries").add(dict_entries);
+  registry.counter("columnar.merge_sorted").add(permuted ? 1 : 0);
+  registry.counter("columnar.timestamps_plain")
+      .add(rows > 0 && timestamps_plain ? 1 : 0);
 }
 
 }  // namespace
@@ -177,7 +213,8 @@ JobTable JobTableBuilder::merge(std::vector<JobTableBuilder> chunks) {
   for (std::size_t i = 0; i < n; ++i)
     if (joblog::is_failure(static_cast<joblog::ExitClass>(t.exit_class_code[i])))
       t.failed.set(i);
-  flush_build_metrics(n, t.bytes(), t.queue_dict.size());
+  flush_build_metrics(n, t.bytes(), t.queue_dict.size(), !sorted,
+                      !t.start_time.delta_encoded());
   return t;
 }
 
@@ -266,52 +303,72 @@ void RasTableBuilder::add_csv_row(const util::FieldVec& row) {
   text_.push_back(row[8]);
 }
 
-RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks) {
+RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
+                                unsigned threads) {
   FAILMINE_TRACE_SPAN("columnar.build");
   RasTable t;
+  const std::size_t n_chunks = chunks.size();
+  // Serial phase: fold the chunk dictionaries in file order (chunk 0's
+  // codes are already final) and place every chunk's rows and text bytes.
+  std::vector<std::vector<std::uint32_t>> message_remap(n_chunks);
+  std::vector<std::vector<std::uint32_t>> location_remap(n_chunks);
+  std::vector<std::size_t> row_at(n_chunks + 1, 0);
+  std::vector<std::size_t> text_at(n_chunks + 1, 0);
+  for (std::size_t ci = 0; ci < n_chunks; ++ci) {
+    RasTableBuilder& c = chunks[ci];
+    if (ci == 0) {
+      t.message_dict = std::move(c.message_dict_);
+      t.location_dict = std::move(c.location_dict_);
+      t.locations = std::move(c.locations_);
+      message_remap[0] = identity_remap(t.message_dict.size());
+      location_remap[0] = identity_remap(t.location_dict.size());
+    } else {
+      t.message_dict.merge_from(c.message_dict_, message_remap[ci]);
+      t.location_dict.merge_from(c.location_dict_, location_remap[ci]);
+      for (std::size_t code = 0; code < location_remap[ci].size(); ++code)
+        if (location_remap[ci][code] == t.locations.size())
+          t.locations.push_back(c.locations_[code]);
+    }
+    row_at[ci + 1] = row_at[ci] + c.rows();
+    text_at[ci + 1] = text_at[ci] + c.text_.text_bytes();
+  }
+
+  // Parallel phase. Zero-filling tens of MB of fresh pages would be the
+  // longest serial step left, so the merged columns are sized
+  // concurrently, one column per task. Then each chunk fills its slice
+  // and frees its builder on the same worker.
+  const std::size_t n = row_at[n_chunks];
   std::vector<util::UnixSeconds> timestamp;
   std::vector<std::uint8_t> has_job;
-  if (!chunks.empty()) {
-    RasTableBuilder& first = chunks.front();
-    t.message_dict = std::move(first.message_dict_);
-    t.location_dict = std::move(first.location_dict_);
-    t.locations = std::move(first.locations_);
-    t.record_id = std::move(first.record_id_);
-    timestamp = std::move(first.timestamp_);
-    t.message_code = std::move(first.message_code_);
-    t.severity_code = std::move(first.severity_code_);
-    t.component_code = std::move(first.component_code_);
-    t.category_code = std::move(first.category_code_);
-    t.location_code = std::move(first.location_code_);
-    has_job = std::move(first.has_job_);
-    t.job_id = std::move(first.job_id_);
-    t.text = std::move(first.text_);
-    std::vector<std::uint32_t> message_remap;
-    std::vector<std::uint32_t> location_remap;
-    for (std::size_t ci = 1; ci < chunks.size(); ++ci) {
-      RasTableBuilder& c = chunks[ci];
-      t.message_dict.merge_from(c.message_dict_, message_remap);
-      t.location_dict.merge_from(c.location_dict_, location_remap);
-      for (std::size_t code = 0; code < location_remap.size(); ++code)
-        if (location_remap[code] == t.locations.size())
-          t.locations.push_back(c.locations_[code]);
-      t.message_code.reserve(t.message_code.size() + c.message_code_.size());
-      for (const std::uint32_t code : c.message_code_)
-        t.message_code.push_back(message_remap[code]);
-      t.location_code.reserve(t.location_code.size() + c.location_code_.size());
-      for (const std::uint32_t code : c.location_code_)
-        t.location_code.push_back(location_remap[code]);
-      append_vec(t.record_id, c.record_id_);
-      append_vec(timestamp, c.timestamp_);
-      append_vec(t.severity_code, c.severity_code_);
-      append_vec(t.component_code, c.component_code_);
-      append_vec(t.category_code, c.category_code_);
-      append_vec(has_job, c.has_job_);
-      append_vec(t.job_id, c.job_id_);
-      t.text.append(c.text_);
-    }
-  }
-  const std::size_t n = t.record_id.size();
+  const std::function<void()> presize[] = {
+      [&] { timestamp.resize(n); },
+      [&] { has_job.resize(n); },
+      [&] { t.record_id.resize(n); },
+      [&] { t.message_code.resize(n); },
+      [&] { t.severity_code.resize(n); },
+      [&] { t.component_code.resize(n); },
+      [&] { t.category_code.resize(n); },
+      [&] { t.location_code.resize(n); },
+      [&] { t.job_id.resize(n); },
+      [&] { t.text.resize(n, text_at[n_chunks]); }};
+  ingest::detail::run_parallel(std::size(presize), threads,
+                               [&](std::size_t i) { presize[i](); });
+  ingest::detail::run_parallel(n_chunks, threads, [&](std::size_t ci) {
+    RasTableBuilder& c = chunks[ci];
+    const std::size_t at = row_at[ci];
+    copy_slice(t.record_id, at, c.record_id_);
+    copy_slice(timestamp, at, c.timestamp_);
+    remap_slice(t.message_code, at, c.message_code_, message_remap[ci]);
+    copy_slice(t.severity_code, at, c.severity_code_);
+    copy_slice(t.component_code, at, c.component_code_);
+    copy_slice(t.category_code, at, c.category_code_);
+    remap_slice(t.location_code, at, c.location_code_, location_remap[ci]);
+    copy_slice(has_job, at, c.has_job_);
+    copy_slice(t.job_id, at, c.job_id_);
+    t.text.write_slice(at, text_at[ci], c.text_);
+    c = RasTableBuilder(*c.config_);
+  });
+
   const auto key_less = [&](std::size_t a, std::size_t b) {
     if (timestamp[a] != timestamp[b]) return timestamp[a] < timestamp[b];
     return t.record_id[a] < t.record_id[b];
@@ -342,7 +399,8 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks) {
     t.severity_bits[t.severity_code[i]].set(i);
   }
   flush_build_metrics(n, t.bytes(),
-                      t.message_dict.size() + t.location_dict.size());
+                      t.message_dict.size() + t.location_dict.size(), !sorted,
+                      !t.timestamp.delta_encoded());
   return t;
 }
 
@@ -430,7 +488,8 @@ TaskTable TaskTableBuilder::merge(std::vector<TaskTableBuilder> chunks) {
   t.failed.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     if (t.exit_code[i] != 0 || t.exit_signal[i] != 0) t.failed.set(i);
-  flush_build_metrics(n, t.bytes(), 0);
+  flush_build_metrics(n, t.bytes(), 0, !sorted,
+                      !t.start_time.delta_encoded());
   return t;
 }
 
@@ -499,7 +558,7 @@ IoTable IoTableBuilder::merge(std::vector<IoTableBuilder> chunks) {
     apply_permutation(t.files_accessed, perm);
     apply_permutation(t.ranks_doing_io, perm);
   }
-  flush_build_metrics(n, t.bytes(), 0);
+  flush_build_metrics(n, t.bytes(), 0, !sorted, false);
   return t;
 }
 

@@ -5,21 +5,37 @@
 // A builder accumulates one ingest chunk's records as raw SoA vectors
 // with chunk-local dictionaries; workers fill builders concurrently
 // without sharing state. merge() then combines the chunk builders in
-// file order: dictionary codes of every later chunk are remapped into
-// the first chunk's dictionary (so the final code assignment equals a
-// serial first-seen pass — see columnar/dictionary.hpp), the columns are
-// concatenated, rows are put into the table's canonical order if the
-// concatenation is not already sorted, timestamps are delta-sealed and
-// the predicate bitmaps are built. The result is a sealed table from
-// columnar/table.hpp.
+// file order into a sealed table from columnar/table.hpp: dictionary
+// codes of every later chunk are remapped into the first chunk's
+// dictionary (so the final code assignment equals a serial first-seen
+// pass — see columnar/dictionary.hpp), the columns are concatenated,
+// rows are put into the table's canonical order if the concatenation is
+// not already sorted, timestamps are delta-sealed and the predicate
+// bitmaps are built.
+//
+// The RAS merge, which carries the large location dictionary and the
+// free-text column, runs in two phases:
+//   1. Serial: fold only the chunk dictionaries, in file order, and
+//      compute each chunk's row and text-byte offsets in the merged
+//      table.
+//   2. Parallel (ingest::detail::run_parallel over the chunks, at the
+//      load's thread count): each chunk remaps its codes, copies its
+//      columns and text into its own slice of the presized merged
+//      columns and frees its builder.
+// The canonical re-sort, the seal and the bitmap build then run on the
+// merged columns as for the other tables, whose merges concatenate
+// serially.
 //
 // add_csv_row() parses a raw ingest FieldVec straight into the columns
 // through one reused scratch record (no per-row allocation once the
 // string capacities warm up), which is what lets the columnar load path
 // build tables with no extra pass over the file bytes.
 //
-// merge() flushes the columnar.rows / columnar.bytes /
-// columnar.dict_entries counters and runs under a "columnar.build" span.
+// merge() runs under a "columnar.build" span and flushes the
+// columnar.rows / columnar.bytes / columnar.dict_entries counters plus
+// two fallback counters: columnar.merge_sorted (the chunks arrived out
+// of canonical order, so the rows were permuted) and
+// columnar.timestamps_plain (a timestamp column sealed as plain i64).
 //
 // Range contract: jobs and tasks store queue wait and runtime as u32
 // seconds (the CSV validators already guarantee they are non-negative);
@@ -82,7 +98,10 @@ class RasTableBuilder {
   void add_csv_row(const util::FieldVec& row);
   std::size_t rows() const { return record_id_.size(); }
 
-  static RasTable merge(std::vector<RasTableBuilder> chunks);
+  /// Combines chunk builders (file order) into one sealed table; the
+  /// per-chunk copy runs on up to `threads` workers.
+  static RasTable merge(std::vector<RasTableBuilder> chunks,
+                        unsigned threads = 1);
 
  private:
   std::uint32_t encode_location(const topology::Location& loc);

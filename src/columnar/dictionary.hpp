@@ -7,6 +7,17 @@
 // Dictionary per string column; group-bys over the column become dense
 // histogram kernels over the codes (columnar/kernels.hpp).
 //
+// Index: the entries live once, in code order, in names_. The lookup
+// index is a flat open-addressing table (linear probing, power-of-two
+// capacity, at most half full) whose slots hold a code and that entry's
+// 32-bit hash. A probe hashes the std::string_view once and compares a
+// stored hash before it touches an entry string, so lookups build no
+// temporary string and the index makes no per-entry allocation; growing
+// it re-slots the stored hashes without re-hashing a string. Entries
+// and index are two vectors, so bytes() is O(1) and destruction frees
+// two buffers plus the heap buffers of entries too long for the
+// small-string buffer.
+//
 // Code stability across parallel builds: the ingest engine parses chunks
 // concurrently, each into its own builder with its own local dictionary,
 // and the deterministic chunk-order merge remaps every chunk's codes into
@@ -21,7 +32,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace failmine::columnar {
@@ -51,11 +61,27 @@ class Dictionary {
   void merge_from(const Dictionary& other, std::vector<std::uint32_t>& remap);
 
   /// Heap bytes held (entry strings + index).
-  std::size_t bytes() const;
+  std::size_t bytes() const {
+    return names_.capacity() * sizeof(std::string) + string_heap_bytes_ +
+           slots_.capacity() * sizeof(Slot);
+  }
 
  private:
+  struct Slot {
+    std::uint32_t code;  ///< kEmptySlot when unused
+    std::uint32_t hash;
+  };
+  static constexpr std::uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Index of the slot holding `name`, or of the empty slot that ends
+  /// its probe sequence. The table must be non-empty.
+  std::size_t probe(std::string_view name, std::uint32_t hash) const;
+  /// Stores `code` in the first empty slot of `hash`'s probe sequence.
+  void place(std::uint32_t code, std::uint32_t hash);
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint32_t> index_;
+  std::vector<Slot> slots_;
+  std::size_t string_heap_bytes_ = 0;  ///< entries past the SSO buffer
 };
 
 }  // namespace failmine::columnar

@@ -30,7 +30,8 @@ RasTable load_ras_table(const std::string& path,
       "parse.raslog.records", [&config] { return RasTableBuilder(config); },
       [](RasTableBuilder& b, const util::FieldVec& row) { b.add_csv_row(row); },
       options);
-  return RasTableBuilder::merge(std::move(chunks));
+  return RasTableBuilder::merge(std::move(chunks),
+                                ingest::effective_threads(options));
 }
 
 TaskTable load_task_table(const std::string& path,

@@ -23,6 +23,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -50,12 +51,22 @@ class StringArena {
     offsets_.push_back(bytes_.size());
   }
 
-  void append(const StringArena& other) {
-    const std::size_t base = bytes_.size();
-    bytes_.insert(bytes_.end(), other.bytes_.begin(), other.bytes_.end());
-    offsets_.reserve(offsets_.size() + other.size());
+  /// Sizes an empty arena to `rows` strings over `text_bytes` bytes, to
+  /// be filled by write_slice().
+  void resize(std::size_t rows, std::size_t text_bytes) {
+    bytes_.resize(text_bytes);
+    offsets_.resize(rows + 1);
+  }
+
+  /// Copies `other` into strings [row, row + other.size()) and bytes
+  /// [byte, byte + other.text_bytes()) of a resized arena. Calls that
+  /// write disjoint slices may run concurrently.
+  void write_slice(std::size_t row, std::size_t byte,
+                   const StringArena& other) {
+    std::copy(other.bytes_.begin(), other.bytes_.end(),
+              bytes_.begin() + static_cast<std::ptrdiff_t>(byte));
     for (std::size_t i = 0; i < other.size(); ++i)
-      offsets_.push_back(base + other.offsets_[i + 1]);
+      offsets_[row + 1 + i] = byte + other.offsets_[i + 1];
   }
 
   std::string_view view(std::size_t i) const {
@@ -64,6 +75,7 @@ class StringArena {
   }
 
   std::size_t size() const { return offsets_.size() - 1; }
+  std::size_t text_bytes() const { return bytes_.size(); }
 
   std::size_t bytes() const {
     return bytes_.capacity() + offsets_.capacity() * sizeof(std::size_t);

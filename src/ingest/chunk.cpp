@@ -2,11 +2,13 @@
 
 #include <algorithm>
 
+#include "ingest/loader.hpp"
+
 namespace failmine::ingest {
 
 std::vector<Chunk> plan_chunks(std::string_view data,
                                std::size_t target_chunks,
-                               std::size_t min_chunk_bytes) {
+                               std::size_t min_chunk_bytes, unsigned threads) {
   std::vector<Chunk> chunks;
   if (data.empty()) return chunks;
   if (target_chunks < 1) target_chunks = 1;
@@ -18,23 +20,24 @@ std::vector<Chunk> plan_chunks(std::string_view data,
   const std::size_t nominal =
       std::max<std::size_t>(1, data.size() / target_chunks);
 
-  std::vector<std::size_t> starts{0};
-  // Quote parity accounting: `parity` is the in-quotes state at offset
-  // `counted_to`. Advancing by std::count keeps the scan vectorized.
-  bool parity = false;
-  std::size_t counted_to = 0;
-  const auto advance_parity = [&](std::size_t to) {
-    const auto quotes = std::count(data.begin() + static_cast<std::ptrdiff_t>(counted_to),
-                                   data.begin() + static_cast<std::ptrdiff_t>(to), '"');
-    if ((quotes % 2) != 0) parity = !parity;
-    counted_to = to;
-  };
+  // Quote parity at candidate k * nominal is the parity of the quote
+  // count before it. The workers count the quotes of each nominal
+  // segment [k * nominal, (k + 1) * nominal); a serial prefix pass then
+  // gives the parity at every candidate.
+  std::vector<unsigned char> odd_quotes(target_chunks - 1);
+  detail::run_parallel(odd_quotes.size(), threads, [&](std::size_t k) {
+    const auto begin = data.begin() + static_cast<std::ptrdiff_t>(k * nominal);
+    const auto quotes =
+        std::count(begin, begin + static_cast<std::ptrdiff_t>(nominal), '"');
+    odd_quotes[k] = static_cast<unsigned char>(quotes % 2);
+  });
 
+  std::vector<std::size_t> starts{0};
+  bool parity = false;  // in-quotes state at the current candidate
   for (std::size_t k = 1; k < target_chunks; ++k) {
+    if (odd_quotes[k - 1] != 0) parity = !parity;
     const std::size_t candidate = k * nominal;
-    if (candidate >= data.size()) break;
     if (candidate <= starts.back()) continue;
-    advance_parity(candidate);
     // Forward scan from the candidate to the next record boundary, with
     // the exact quote state at the candidate in hand.
     bool in_quotes = parity;
@@ -51,8 +54,6 @@ std::vector<Chunk> plan_chunks(std::string_view data,
       ++i;
     }
     if (boundary >= data.size()) break;  // the remainder is one chunk
-    parity = in_quotes;
-    counted_to = boundary;
     starts.push_back(boundary);
   }
 

@@ -8,10 +8,14 @@
 // field contains '\n'; resolving a candidate boundary therefore needs the
 // quote parity (inside/outside a quoted field) at that offset. Because
 // every '"' byte toggles the RFC 4180 state machine, parity at any offset
-// is just the cumulative count of quote bytes before it — one vectorized
-// std::count pass over the buffer, no per-byte state machine. From each
-// candidate we then scan forward (with the known parity) to the first
-// record-terminating newline.
+// is just the cumulative count of quote bytes before it. The candidates
+// sit at multiples of a nominal chunk size, so the ingest workers count
+// the quotes of each nominal segment concurrently (std::count, no
+// per-byte state machine) and a serial prefix pass over the segment
+// parities yields the parity at every candidate. From each candidate we
+// then scan forward (with the known parity) to the first
+// record-terminating newline. The plan does not depend on the thread
+// count.
 //
 // CsvCursor iterates the records inside one chunk: it yields each record
 // as a string_view with the terminating '\n' (and a trailing '\r', for
@@ -41,11 +45,14 @@ inline constexpr std::size_t kDefaultMinChunkBytes = 64 * 1024;
 /// Splits `data` (zero or more CSV records, no header) into at most
 /// `target_chunks` record-aligned chunks of at least `min_chunk_bytes`
 /// each (except possibly the last). The concatenation of the returned
-/// chunks is exactly `data`. An empty input yields no chunks.
+/// chunks is exactly `data`. An empty input yields no chunks. The quote
+/// counting runs on up to `threads` workers; the plan is the same for
+/// any thread count.
 std::vector<Chunk> plan_chunks(std::string_view data,
                                std::size_t target_chunks,
                                std::size_t min_chunk_bytes =
-                                   kDefaultMinChunkBytes);
+                                   kDefaultMinChunkBytes,
+                               unsigned threads = 1);
 
 /// Iterates records in a chunk (see file comment for the contract).
 class CsvCursor {

@@ -55,11 +55,11 @@ LoadPlan open_and_plan(const std::string& path,
   if (skip < content.size() && content[skip] == '\n') ++skip;
   plan.body = content.substr(skip);
 
+  const unsigned threads = effective_threads(options);
   plan.chunks = plan_chunks(
       plan.body,
-      effective_threads(options) *
-          std::max<std::size_t>(1, options.chunks_per_thread),
-      std::max<std::size_t>(1, options.min_chunk_bytes));
+      threads * std::max<std::size_t>(1, options.chunks_per_thread),
+      std::max<std::size_t>(1, options.min_chunk_bytes), threads);
 
   obs::MetricsRegistry& registry = obs::metrics();
   registry.counter("ingest.bytes_mapped").add(content.size());

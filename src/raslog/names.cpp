@@ -2,28 +2,27 @@
 #include "raslog/component.hpp"
 #include "raslog/severity.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace failmine::raslog {
 
-std::string severity_name(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo: return "INFO";
-    case Severity::kWarn: return "WARN";
-    case Severity::kFatal: return "FATAL";
+// The parsers run once per RAS row, so they compare string_views against
+// constants and allocate nothing on the accepting path.
+
+namespace {
+
+/// ASCII case-insensitive compare against a lower-case constant.
+bool equals_lower(std::string_view name, std::string_view lower) {
+  if (name.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    const char folded =
+        c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+    if (folded != lower[i]) return false;
   }
-  throw failmine::DomainError("unknown severity");
+  return true;
 }
 
-Severity severity_from_name(std::string_view name) {
-  const std::string up = util::to_lower(name);
-  if (up == "info") return Severity::kInfo;
-  if (up == "warn" || up == "warning") return Severity::kWarn;
-  if (up == "fatal") return Severity::kFatal;
-  throw failmine::ParseError("unknown severity: '" + std::string(name) + "'");
-}
-
-std::string component_name(Component component) {
+std::string_view component_token(Component component) {
   switch (component) {
     case Component::kCnk: return "CNK";
     case Component::kMmcs: return "MMCS";
@@ -43,13 +42,7 @@ std::string component_name(Component component) {
   throw failmine::DomainError("unknown component");
 }
 
-Component component_from_name(std::string_view name) {
-  for (Component c : kAllComponents)
-    if (component_name(c) == name) return c;
-  throw failmine::ParseError("unknown component: '" + std::string(name) + "'");
-}
-
-std::string category_name(Category category) {
+std::string_view category_token(Category category) {
   switch (category) {
     case Category::kMemory: return "MEMORY";
     case Category::kProcessor: return "PROCESSOR";
@@ -63,9 +56,42 @@ std::string category_name(Category category) {
   throw failmine::DomainError("unknown category");
 }
 
+}  // namespace
+
+std::string severity_name(Severity severity) {
+  switch (severity) {
+    case Severity::kInfo: return "INFO";
+    case Severity::kWarn: return "WARN";
+    case Severity::kFatal: return "FATAL";
+  }
+  throw failmine::DomainError("unknown severity");
+}
+
+Severity severity_from_name(std::string_view name) {
+  if (equals_lower(name, "info")) return Severity::kInfo;
+  if (equals_lower(name, "warn") || equals_lower(name, "warning"))
+    return Severity::kWarn;
+  if (equals_lower(name, "fatal")) return Severity::kFatal;
+  throw failmine::ParseError("unknown severity: '" + std::string(name) + "'");
+}
+
+std::string component_name(Component component) {
+  return std::string(component_token(component));
+}
+
+Component component_from_name(std::string_view name) {
+  for (Component c : kAllComponents)
+    if (component_token(c) == name) return c;
+  throw failmine::ParseError("unknown component: '" + std::string(name) + "'");
+}
+
+std::string category_name(Category category) {
+  return std::string(category_token(category));
+}
+
 Category category_from_name(std::string_view name) {
   for (Category c : kAllCategories)
-    if (category_name(c) == name) return c;
+    if (category_token(c) == name) return c;
   throw failmine::ParseError("unknown category: '" + std::string(name) + "'");
 }
 

@@ -1,11 +1,14 @@
 // Unit tests for the columnar record store: dictionary encoding and
 // chunk merge, bitmap index, delta timestamp column, scan kernels, and
 // the builders' deterministic chunk-order merge (including a threaded
-// build, which is what the TSan CI job exercises).
+// build and the threaded RAS merge, which is what the TSan CI job
+// exercises).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +68,80 @@ TEST(ColumnarDictionary, RoundTripsCodeStringCode) {
   for (const auto& s : values) d.encode(s);
   for (std::uint32_t c = 0; c < d.size(); ++c)
     EXPECT_EQ(*d.find(d.name(c)), c);  // code -> string -> same code
+}
+
+TEST(ColumnarDictionary, FindOnEmptyDictionary) {
+  const Dictionary d;
+  EXPECT_EQ(d.find("prod"), std::nullopt);
+  EXPECT_EQ(d.find(""), std::nullopt);
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.bytes(), 0u);
+  EXPECT_THROW(d.name(0), DomainError);
+}
+
+/// Distinct names: the empty name, short names that fit the small-string
+/// buffer and location-like names longer than 15 bytes.
+std::string stress_name(std::size_t i) {
+  if (i == 0) return "";
+  if (i % 3 == 0) return "q" + std::to_string(i);
+  return "R" + std::to_string(i % 48) + "-M" + std::to_string(i % 2) +
+         "-N" + std::to_string(i) + "-J" + std::to_string(i % 32);
+}
+
+TEST(ColumnarDictionary, FlatIndexKeepsCodesAcrossGrowths) {
+  // 120k entries take the index from its first allocation through about
+  // fourteen doublings.
+  constexpr std::size_t kNames = 120'000;
+  Dictionary d;
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < kNames; ++i) {
+    names.push_back(stress_name(i));
+    ASSERT_EQ(d.encode(names.back()), i) << "name '" << names.back() << "'";
+  }
+  EXPECT_EQ(d.size(), kNames);
+  EXPECT_EQ(d.names(), names);
+  for (std::uint32_t c = 0; c < kNames; ++c) {
+    ASSERT_EQ(d.encode(names[c]), c);  // hits append nothing
+    ASSERT_EQ(d.find(names[c]), std::optional<std::uint32_t>(c));
+    ASSERT_EQ(d.name(c), names[c]);
+  }
+  EXPECT_EQ(d.size(), kNames);
+  EXPECT_EQ(d.find(""), std::optional<std::uint32_t>(0u));
+  EXPECT_EQ(d.find("R0-M0-N0-J0-absent"), std::nullopt);
+  EXPECT_EQ(d.find("q1"), std::nullopt);  // i % 3 != 0 never gets a short name
+  EXPECT_GE(d.bytes(), kNames * sizeof(std::string));
+}
+
+TEST(ColumnarDictionary, MergeOfOverlappingDictionariesMatchesSerialPass) {
+  // Five chunk dictionaries over sliding, overlapping windows of 100k
+  // names, with repeats inside each chunk: folding them in chunk order
+  // must give the serial first-seen codes, and every remap must send a
+  // chunk code to the serial code of its name.
+  constexpr std::size_t kChunks = 5;
+  std::vector<std::vector<std::string>> chunks(kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c)
+    for (std::size_t i = 0; i < 40'000; ++i)
+      chunks[c].push_back(stress_name((c * 15'000 + i * 7) % 100'000));
+
+  Dictionary serial;
+  for (const auto& chunk : chunks)
+    for (const auto& s : chunk) serial.encode(s);
+
+  std::vector<Dictionary> local(kChunks);
+  std::vector<std::vector<std::uint32_t>> local_codes(kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c)
+    for (const auto& s : chunks[c]) local_codes[c].push_back(local[c].encode(s));
+
+  Dictionary merged;
+  std::vector<std::uint32_t> remap;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    merged.merge_from(local[c], remap);
+    ASSERT_EQ(remap.size(), local[c].size());
+    for (std::size_t i = 0; i < chunks[c].size(); ++i)
+      ASSERT_EQ(remap[local_codes[c][i]], *serial.find(chunks[c][i]))
+          << "chunk " << c << " row " << i;
+  }
+  EXPECT_EQ(merged.names(), serial.names());
 }
 
 TEST(ColumnarBitmap, SetTestCountForEach) {
@@ -228,6 +305,9 @@ TEST(ColumnarBuilder, FlushesBuildMetrics) {
   const std::uint64_t rows_before = m.counter("columnar.rows").value();
   const std::uint64_t bytes_before = m.counter("columnar.bytes").value();
   const std::uint64_t dict_before = m.counter("columnar.dict_entries").value();
+  const std::uint64_t sorted_before = m.counter("columnar.merge_sorted").value();
+  const std::uint64_t plain_before =
+      m.counter("columnar.timestamps_plain").value();
 
   JobTableBuilder b;
   b.add(make_job(1, 1000, "prod"));
@@ -239,6 +319,9 @@ TEST(ColumnarBuilder, FlushesBuildMetrics) {
   EXPECT_EQ(m.counter("columnar.rows").value() - rows_before, t.rows());
   EXPECT_GT(m.counter("columnar.bytes").value(), bytes_before);
   EXPECT_EQ(m.counter("columnar.dict_entries").value() - dict_before, 2u);
+  // In-order chunks and a delta-sealed start column: no fallback.
+  EXPECT_EQ(m.counter("columnar.merge_sorted").value() - sorted_before, 0u);
+  EXPECT_EQ(m.counter("columnar.timestamps_plain").value() - plain_before, 0u);
 }
 
 TEST(ColumnarBuilder, ThreadedChunkBuildIsDeterministic) {
@@ -319,6 +402,79 @@ TEST(ColumnarBuilder, RasRoundTripKeepsLocationsAligned) {
                 .count(),
             1u);
   EXPECT_EQ(t.has_job.count(), 1u);
+}
+
+TEST(ColumnarBuilder, RasMergeSortFallbackMatchesOneBuilder) {
+  // Later chunks hold earlier timestamps, and record ids fall as times
+  // repeat, so the concatenated chunks are out of (timestamp, record_id)
+  // order and the merge must permute every column — text, locations and
+  // job ids included. At 1 and 4 threads the table must equal the one a
+  // single builder makes from the same rows.
+  const topology::MachineConfig machine{};
+  constexpr std::size_t kChunks = 6;
+  constexpr std::size_t kPerChunk = 700;
+  const char* const messages[] = {"00040020", "00080030", "000C0001"};
+  std::vector<std::vector<raslog::RasEvent>> parts(kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    for (std::size_t i = 0; i < kPerChunk; ++i) {
+      const std::size_t k = c * kPerChunk + i;
+      raslog::RasEvent e;
+      e.record_id = 1'000'000 - k;
+      e.timestamp = static_cast<util::UnixSeconds>(
+          1'000'000 - 10'000 * static_cast<std::int64_t>(c) +
+          static_cast<std::int64_t>(i / 4));
+      e.message_id = messages[k % 3];
+      e.severity = static_cast<raslog::Severity>(k % 3);
+      e.component = raslog::kAllComponents[k % std::size(raslog::kAllComponents)];
+      e.category = raslog::kAllCategories[k % std::size(raslog::kAllCategories)];
+      e.location = topology::Location::from_node_index(
+          static_cast<topology::NodeIndex>((k * 37) % 1500), machine);
+      if (k % 5 != 0) e.job_id = 500 + k % 97;
+      e.text = std::string(k % 23, static_cast<char>('a' + k % 26));
+      parts[c].push_back(e);
+    }
+  }
+
+  RasTableBuilder whole(machine);
+  for (const auto& part : parts)
+    for (const auto& e : part) whole.add(e);
+  std::vector<RasTableBuilder> one;
+  one.push_back(std::move(whole));
+  const RasTable expected = RasTableBuilder::merge(std::move(one));
+  ASSERT_EQ(expected.rows(), kChunks * kPerChunk);
+  ASSERT_TRUE(expected.timestamp.delta_encoded());
+
+  obs::Counter& sorted_merges = obs::metrics().counter("columnar.merge_sorted");
+  obs::Counter& plain_seals = obs::metrics().counter("columnar.timestamps_plain");
+  for (const unsigned threads : {1u, 4u}) {
+    std::vector<RasTableBuilder> chunks;
+    for (const auto& part : parts) {
+      chunks.emplace_back(machine);
+      for (const auto& e : part) chunks.back().add(e);
+    }
+    const std::uint64_t sorted_before = sorted_merges.value();
+    const std::uint64_t plain_before = plain_seals.value();
+    const RasTable t = RasTableBuilder::merge(std::move(chunks), threads);
+    EXPECT_EQ(sorted_merges.value() - sorted_before, 1u) << threads;
+    EXPECT_EQ(plain_seals.value() - plain_before, 0u) << threads;
+
+    EXPECT_EQ(t.to_records(), expected.to_records()) << threads;
+    EXPECT_EQ(t.record_id, expected.record_id) << threads;
+    EXPECT_EQ(t.message_code, expected.message_code) << threads;
+    EXPECT_EQ(t.message_dict.names(), expected.message_dict.names()) << threads;
+    EXPECT_EQ(t.location_code, expected.location_code) << threads;
+    EXPECT_EQ(t.location_dict.names(), expected.location_dict.names())
+        << threads;
+    EXPECT_EQ(t.locations, expected.locations) << threads;
+    EXPECT_EQ(t.job_id, expected.job_id) << threads;
+    EXPECT_EQ(t.has_job.words(), expected.has_job.words()) << threads;
+    for (std::size_t s = 0; s < t.severity_bits.size(); ++s)
+      EXPECT_EQ(t.severity_bits[s].words(), expected.severity_bits[s].words())
+          << threads;
+    ASSERT_EQ(t.text.size(), expected.text.size());
+    for (std::size_t i = 0; i < t.rows(); ++i)
+      ASSERT_EQ(t.text.view(i), expected.text.view(i)) << "row " << i;
+  }
 }
 
 TEST(ColumnarBuilder, TaskAndIoRoundTrip) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -121,6 +122,45 @@ TEST(IngestChunker, EscapedQuotesStraddlingBoundariesKeepParity) {
   for (int i = 0; i < 60; ++i) {
     data += std::to_string(i) + ",\"say \"\"hi\"\"\"\n";
     data += std::to_string(i) + ",\"a\nb\",\"\"\"\"\n";
+  }
+  expect_plan_is_partition(data);
+}
+
+TEST(IngestChunker, QuoteDensePlanSnapsCandidatesToRecordStarts) {
+  // Every field is quoted and every record carries escaped quotes and
+  // quoted newlines, so quotes sit on both sides of every nominal
+  // segment boundary and many candidates fall inside a quoted field.
+  // Whatever the thread count that counts the segments, each boundary
+  // must be the first record start after its candidate.
+  std::string data;
+  for (int i = 0; i < 500; ++i)
+    data += "\"" + std::to_string(i) + "\",\"say \"\"hi\"\"\nthen \"\"" +
+            std::string(static_cast<std::size_t>(i % 7), 'x') +
+            "\"\"\",\"\"\"\"\n";
+  std::vector<std::size_t> record_starts;
+  CsvCursor cursor(data);
+  std::string_view record;
+  while (cursor.next(record))
+    record_starts.push_back(static_cast<std::size_t>(record.data() - data.data()));
+
+  for (std::size_t target : {std::size_t{2}, std::size_t{3}, std::size_t{7},
+                             std::size_t{16}, std::size_t{61}, std::size_t{400}}) {
+    const std::size_t nominal = data.size() / target;
+    std::vector<std::size_t> expected{0};
+    for (std::size_t k = 1; k < target; ++k) {
+      if (k * nominal <= expected.back()) continue;
+      const auto next = std::upper_bound(record_starts.begin(),
+                                         record_starts.end(), k * nominal);
+      if (next == record_starts.end()) break;
+      expected.push_back(*next);
+    }
+    for (unsigned threads : {1u, 2u, 4u}) {
+      const auto chunks = plan_chunks(data, target, 1, threads);
+      std::vector<std::size_t> starts;
+      for (const Chunk& c : chunks)
+        starts.push_back(static_cast<std::size_t>(c.data.data() - data.data()));
+      EXPECT_EQ(starts, expected) << "target=" << target << " threads=" << threads;
+    }
   }
   expect_plan_is_partition(data);
 }
