@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "distfit/fit.hpp"
@@ -69,6 +70,12 @@ struct SelectionCase {
   // Families that are acceptable winners (nested/near-equivalent shapes).
   std::vector<const char*> accepted;
 };
+
+// Without a printer GoogleTest names each case by the raw bytes of the
+// struct, which hold string addresses and so change from build to build.
+void PrintTo(const SelectionCase& c, std::ostream* os) {
+  *os << c.true_family;
+}
 
 class SelectBestIdentifiesFamily
     : public ::testing::TestWithParam<SelectionCase> {};
