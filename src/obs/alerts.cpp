@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -54,55 +55,48 @@ Counter& transitions_counter() {
   return c;
 }
 
-/// Series the rule's metric selector matches in the current sample —
-/// the rule's label groups this round. A blockless metric keeps the
-/// legacy full-name-glob semantics (a plain name matches only itself).
-std::vector<std::string> discover_groups(const AlertRule& rule,
-                                         const MetricsSample& sample) {
-  TsdbSelector sel;
-  try {
-    sel = parse_tsdb_selector(rule.metric);
-  } catch (const failmine::ParseError&) {
-    return {};  // malformed selector: fall through to the no-data group
+/// One non-blank, comment-stripped rule line: `name: expr op threshold
+/// [for dur]`. Selectors cannot contain '<' or '>', so the first one
+/// ends the expression.
+AlertRule parse_rule_line(std::string_view line) {
+  AlertRule rule;
+  const std::size_t colon = line.find(':');
+  if (colon == std::string_view::npos)
+    throw failmine::ParseError("missing ':' after rule name");
+  rule.name = std::string(trim(line.substr(0, colon)));
+  if (rule.name.empty()) throw failmine::ParseError("empty rule name");
+  std::string_view rest = line.substr(colon + 1);
+
+  const std::size_t op = rest.find_first_of("<>");
+  if (op == std::string_view::npos)
+    throw failmine::ParseError("expected comparison (> >= < <=)");
+  rule.query = parse_tsdb_query(rest.substr(0, op));
+  const bool inclusive = op + 1 < rest.size() && rest[op + 1] == '=';
+  rule.op = rest[op] == '>' ? (inclusive ? AlertOp::kGe : AlertOp::kGt)
+                            : (inclusive ? AlertOp::kLe : AlertOp::kLt);
+  rest = rest.substr(op + (inclusive ? 2 : 1));
+
+  const std::string threshold(rest);
+  char* endp = nullptr;
+  rule.threshold = std::strtod(threshold.c_str(), &endp);
+  if (endp == threshold.c_str())
+    throw failmine::ParseError("unparseable threshold");
+  if (!std::isfinite(rule.threshold))
+    throw failmine::ParseError("threshold must be finite");
+  rest = trim(rest.substr(static_cast<std::size_t>(endp - threshold.c_str())));
+
+  if (!rest.empty()) {
+    if (rest.substr(0, 3) != "for")
+      throw failmine::ParseError("trailing garbage '" + std::string(rest) +
+                                 "'");
+    rule.for_ms = parse_tsdb_duration_ms(trim(rest.substr(3)),
+                                         "'for' duration",
+                                         /*positive=*/false);
   }
-  const auto matches = [&](const std::string& name) {
-    if (sel.has_block) return tsdb_selector_matches(sel, name);
-    return tsdb_glob_match(rule.metric, name);
-  };
-  std::vector<std::string> out;
-  switch (rule.fn) {
-    case AlertFn::kValue:
-      for (const auto& [name, value] : sample.counters)
-        if (matches(name)) out.push_back(name);
-      for (const auto& [name, value] : sample.gauges)
-        if (matches(name)) out.push_back(name);
-      break;
-    case AlertFn::kRate:
-      for (const auto& [name, value] : sample.counters)
-        if (matches(name)) out.push_back(name);
-      break;
-    case AlertFn::kP50:
-    case AlertFn::kP90:
-    case AlertFn::kP99:
-      for (const auto& [name, hist] : sample.histograms)
-        if (matches(name)) out.push_back(name);
-      break;
-  }
-  return out;
+  return rule;
 }
 
 }  // namespace
-
-std::string_view alert_fn_name(AlertFn fn) {
-  switch (fn) {
-    case AlertFn::kValue: return "value";
-    case AlertFn::kRate: return "rate";
-    case AlertFn::kP50: return "p50";
-    case AlertFn::kP90: return "p90";
-    case AlertFn::kP99: return "p99";
-  }
-  return "?";
-}
 
 std::string_view alert_op_name(AlertOp op) {
   switch (op) {
@@ -124,43 +118,10 @@ std::string_view alert_state_name(AlertState state) {
   return "?";
 }
 
-std::string AlertRule::expression() const {
-  std::string out(alert_fn_name(fn));
-  out += '(';
-  out += metric;
-  if (window_ms > 0) {
-    char wbuf[32];
-    if (window_ms % 1000 == 0) {
-      std::snprintf(wbuf, sizeof(wbuf), "[%llds]",
-                    static_cast<long long>(window_ms / 1000));
-    } else {
-      std::snprintf(wbuf, sizeof(wbuf), "[%lldms]",
-                    static_cast<long long>(window_ms));
-    }
-    out += wbuf;
-  }
-  out += ") ";
-  out += alert_op_name(op);
-  out += ' ';
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", threshold);
-  out += buf;
-  if (for_ms > 0) {
-    std::snprintf(buf, sizeof(buf), " for %gs",
-                  static_cast<double>(for_ms) / 1000.0);
-    out += buf;
-  }
-  return out;
-}
-
 std::vector<AlertRule> parse_alert_rules(std::string_view text) {
   std::vector<AlertRule> rules;
   std::size_t line_no = 0;
   std::size_t pos = 0;
-  const auto fail = [&](const std::string& why) {
-    throw failmine::ParseError("alert rule line " + std::to_string(line_no) +
-                               ": " + why);
-  };
   while (pos <= text.size()) {
     std::size_t end = text.find('\n', pos);
     if (end == std::string_view::npos) end = text.size();
@@ -170,94 +131,17 @@ std::vector<AlertRule> parse_alert_rules(std::string_view text) {
     if (const std::size_t hash = line.find('#'); hash != std::string_view::npos)
       line = line.substr(0, hash);
     line = trim(line);
-    if (line.empty()) {
-      if (pos > text.size()) break;
-      continue;
-    }
-
-    AlertRule rule;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos) fail("missing ':' after rule name");
-    rule.name = std::string(trim(line.substr(0, colon)));
-    if (rule.name.empty()) fail("empty rule name");
-    std::string_view rest = trim(line.substr(colon + 1));
-
-    const std::size_t open = rest.find('(');
-    const std::size_t close = rest.find(')');
-    if (open == std::string_view::npos || close == std::string_view::npos ||
-        close < open)
-      fail("expected fn(metric)");
-    const std::string_view fn = trim(rest.substr(0, open));
-    if (fn == "value") rule.fn = AlertFn::kValue;
-    else if (fn == "rate") rule.fn = AlertFn::kRate;
-    else if (fn == "p50") rule.fn = AlertFn::kP50;
-    else if (fn == "p90") rule.fn = AlertFn::kP90;
-    else if (fn == "p99") rule.fn = AlertFn::kP99;
-    else fail("unknown fn '" + std::string(fn) +
-              "' (value|rate|p50|p90|p99)");
-    std::string_view metric = trim(rest.substr(open + 1, close - open - 1));
-    if (!metric.empty() && metric.back() == ']') {
-      const std::size_t bracket = metric.rfind('[');
-      if (bracket == std::string_view::npos) fail("unbalanced ']' in metric");
-      const std::string spec(
-          trim(metric.substr(bracket + 1, metric.size() - bracket - 2)));
-      std::size_t wparsed = 0;
-      double wnum = 0.0;
-      try {
-        wnum = std::stod(spec, &wparsed);
-      } catch (const std::exception&) {
-        fail("unparseable window '" + spec + "'");
-      }
-      const std::string_view wunit = trim(std::string_view(spec).substr(wparsed));
-      if (wunit == "s" || wunit.empty())
-        rule.window_ms = static_cast<std::int64_t>(wnum * 1000.0);
-      else if (wunit == "ms")
-        rule.window_ms = static_cast<std::int64_t>(wnum);
-      else if (wunit == "m")
-        rule.window_ms = static_cast<std::int64_t>(wnum * 60'000.0);
-      else
-        fail("unknown window unit '" + std::string(wunit) + "' (ms|s|m)");
-      if (rule.window_ms <= 0) fail("window must be positive");
-      metric = trim(metric.substr(0, bracket));
-    }
-    rule.metric = std::string(metric);
-    if (rule.metric.empty()) fail("empty metric name");
-    rest = trim(rest.substr(close + 1));
-
-    if (rest.rfind(">=", 0) == 0) { rule.op = AlertOp::kGe; rest = trim(rest.substr(2)); }
-    else if (rest.rfind("<=", 0) == 0) { rule.op = AlertOp::kLe; rest = trim(rest.substr(2)); }
-    else if (rest.rfind(">", 0) == 0) { rule.op = AlertOp::kGt; rest = trim(rest.substr(1)); }
-    else if (rest.rfind("<", 0) == 0) { rule.op = AlertOp::kLt; rest = trim(rest.substr(1)); }
-    else fail("expected comparison (> >= < <=)");
-
-    std::size_t parsed = 0;
+    if (line.empty()) continue;
     try {
-      rule.threshold = std::stod(std::string(rest), &parsed);
-    } catch (const std::exception&) {
-      fail("unparseable threshold");
+      rules.push_back(parse_rule_line(line));
+    } catch (const failmine::ParseError& e) {
+      // Name the line, keeping one "parse error: " prefix.
+      constexpr std::string_view kPrefix = "parse error: ";
+      std::string_view why = e.what();
+      if (why.starts_with(kPrefix)) why.remove_prefix(kPrefix.size());
+      throw failmine::ParseError("alert rule line " + std::to_string(line_no) +
+                                 ": " + std::string(why));
     }
-    rest = trim(rest.substr(parsed));
-
-    if (!rest.empty()) {
-      if (rest.rfind("for", 0) != 0) fail("trailing garbage '" +
-                                          std::string(rest) + "'");
-      rest = trim(rest.substr(3));
-      double duration = 0.0;
-      try {
-        duration = std::stod(std::string(rest), &parsed);
-      } catch (const std::exception&) {
-        fail("unparseable 'for' duration");
-      }
-      const std::string_view unit = trim(rest.substr(parsed));
-      if (unit == "s" || unit.empty())
-        rule.for_ms = static_cast<std::int64_t>(duration * 1000.0);
-      else if (unit == "ms")
-        rule.for_ms = static_cast<std::int64_t>(duration);
-      else
-        fail("unknown duration unit '" + std::string(unit) + "' (s|ms)");
-      if (rule.for_ms < 0) fail("'for' duration must be non-negative");
-    }
-    rules.push_back(std::move(rule));
   }
   return rules;
 }
@@ -350,111 +234,47 @@ void AlertEngine::loop(std::int64_t poll_ms) {
 void AlertEngine::set_history(TsdbStore* history) {
   const std::lock_guard<std::mutex> lock(mutex_);
   history_ = history;
-}
-
-std::optional<double> AlertEngine::extract(const AlertRule& rule,
-                                           const std::string& series,
-                                           GroupState& group,
-                                           const MetricsSample& sample,
-                                           std::int64_t now_ms) const {
-  // The synthetic no-data group ("") falls back to the rule's metric
-  // spelling, so a plain-name rule whose instrument appears later
-  // behaves exactly as before.
-  const std::string& metric = series.empty() ? rule.metric : series;
-  // With stored history attached, windowed rules read it exclusively —
-  // an absent series means the metric never existed, the same "no
-  // data" verdict the registry lookup would give.
-  const bool history = history_ != nullptr && history_->has_data();
-  const std::int64_t window =
-      rule.window_ms > 0 ? rule.window_ms : kDefaultAlertWindowMs;
-  switch (rule.fn) {
-    case AlertFn::kValue: {
-      for (const auto& [name, value] : sample.counters)
-        if (name == metric) return static_cast<double>(value);
-      for (const auto& [name, value] : sample.gauges)
-        if (name == metric) return value;
-      return std::nullopt;
-    }
-    case AlertFn::kRate: {
-      if (history) {
-        const std::int64_t t = history_->latest_ms();
-        const auto inc = history_->increase_over(metric, t, window);
-        if (!inc.has_value() || inc->covered_ms <= 0) return std::nullopt;
-        return std::max(
-            0.0, inc->increase /
-                     (static_cast<double>(inc->covered_ms) / 1000.0));
-      }
-      for (const auto& [name, value] : sample.counters) {
-        if (name != metric) continue;
-        const double current = static_cast<double>(value);
-        if (!group.has_prev || now_ms <= group.prev_ms) {
-          group.has_prev = true;
-          group.prev_counter = current;
-          group.prev_ms = now_ms;
-          return std::nullopt;  // no baseline yet
-        }
-        const double per_second =
-            (current - group.prev_counter) /
-            (static_cast<double>(now_ms - group.prev_ms) / 1000.0);
-        group.prev_counter = current;
-        group.prev_ms = now_ms;
-        return std::max(0.0, per_second);
-      }
-      return std::nullopt;
-    }
-    case AlertFn::kP50:
-    case AlertFn::kP90:
-    case AlertFn::kP99: {
-      const double q = rule.fn == AlertFn::kP50   ? 0.50
-                       : rule.fn == AlertFn::kP90 ? 0.90
-                                                  : 0.99;
-      if (history) {
-        // Windowed bucket deltas: abstains (nullopt) when the window
-        // saw no observations, exactly like the empty-histogram case.
-        return history_->windowed_quantile(metric, q, history_->latest_ms(),
-                                           window);
-      }
-      for (const auto& [name, hist] : sample.histograms)
-        if (name == metric) {
-          if (hist.count == 0) return std::nullopt;  // no data, no verdict
-          return histogram_quantile(hist, q);
-        }
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
+  if (history != nullptr) own_.reset();
 }
 
 void AlertEngine::evaluate_locked(std::int64_t now_ms) {
-  const MetricsSample sample =
-      (registry_ != nullptr ? *registry_ : metrics()).sample();
+  TsdbStore* store = history_;
+  if (store == nullptr) {
+    if (own_ == nullptr) {
+      TsdbConfig config;
+      config.registry = registry_;
+      own_ = std::make_unique<TsdbStore>(config);
+    }
+    own_->scrape_once();
+    store = own_.get();
+  }
+  const std::int64_t t = store->latest_ms();
   std::size_t firing_count = 0;
   for (RuleState& rs : rules_) {
-    // This round's label groups: freshly matched series plus every
-    // group seen before (registry instruments never disappear, so a
-    // breached-then-quiet twin keeps reporting its resolved state).
-    std::vector<std::string> series = discover_groups(rs.rule, sample);
-    for (const auto& [name, group] : rs.groups) {
-      if (name.empty()) continue;
-      if (std::find(series.begin(), series.end(), name) == series.end())
-        series.push_back(name);
+    // This round's label groups: every series the query returns joins
+    // (or refreshes) a group; groups seen before stay and read as no
+    // data, so a breached-then-quiet twin reports its resolved state.
+    std::map<std::string, double> values;
+    if (store->has_data()) {
+      for (const TsdbQuerySeries& series :
+           eval_tsdb_query(*store, rs.rule.query, t, t, kDefaultAlertWindowMs)
+               .series)
+        values.emplace(series.name, series.points.back().value);
     }
-    if (series.empty()) {
-      series.push_back("");  // synthetic no-data group
-    } else {
-      rs.groups.erase("");  // real matches retire the synthetic group
-    }
-
-    for (const std::string& name : series) {
+    const auto join = [&](const std::string& name) {
       const auto [it, inserted] = rs.groups.try_emplace(name);
-      GroupState& g = it->second;
-      if (inserted) g.state_since_ms = now_ms;
-      const std::optional<double> value =
-          extract(rs.rule, name, g, sample, now_ms);
-      g.has_value = value.has_value();
-      if (value) g.last_value = *value;
+      if (inserted) it->second.state_since_ms = now_ms;
+    };
+    if (!values.empty()) rs.groups.erase("");  // real series retire it
+    for (const auto& entry : values) join(entry.first);
+    if (rs.groups.empty()) join("");  // synthetic no-data group
+
+    for (auto& [name, g] : rs.groups) {
+      const auto found = values.find(name);
+      g.has_value = found != values.end();
+      if (g.has_value) g.last_value = found->second;
       const bool breach =
-          value && compare(*value, rs.rule.op, rs.rule.threshold);
+          g.has_value && compare(g.last_value, rs.rule.op, rs.rule.threshold);
 
       AlertState next = g.state;
       switch (g.state) {
@@ -480,16 +300,16 @@ void AlertEngine::evaluate_locked(std::int64_t now_ms) {
         g.state = next;
         g.state_since_ms = now_ms;
         transitions_counter().add();
+        const std::string series =
+            name.empty() ? tsdb_query_to_string(rs.rule.query) : name;
         if (next == AlertState::kFiring)
           logger().warn("obs.alert_firing",
-                        {Field("rule", rs.rule.name),
-                         Field("series", name.empty() ? rs.rule.metric : name),
+                        {Field("rule", rs.rule.name), Field("series", series),
                          Field("value", g.last_value),
                          Field("threshold", rs.rule.threshold)});
         else if (next == AlertState::kResolved)
           logger().info("obs.alert_resolved",
-                        {Field("rule", rs.rule.name),
-                         Field("series", name.empty() ? rs.rule.metric : name)});
+                        {Field("rule", rs.rule.name), Field("series", series)});
       }
       if (g.state == AlertState::kFiring) ++firing_count;
     }
@@ -510,18 +330,19 @@ std::vector<AlertStatus> AlertEngine::status() const {
   std::vector<AlertStatus> out;
   out.reserve(rules_.size());
   for (const RuleState& rs : rules_) {
+    const std::string expr = tsdb_query_to_string(rs.rule.query);
     if (rs.groups.empty()) {
       // Not yet evaluated: report the rule once, inactive, no data.
       AlertStatus status;
       status.rule = rs.rule;
-      status.series = rs.rule.metric;
+      status.series = expr;
       out.push_back(std::move(status));
       continue;
     }
     for (const auto& [name, g] : rs.groups) {
       AlertStatus status;
       status.rule = rs.rule;
-      status.series = name.empty() ? rs.rule.metric : name;
+      status.series = name.empty() ? expr : name;
       status.state = g.state;
       status.has_value = g.has_value;
       status.last_value = g.last_value;
@@ -543,7 +364,9 @@ std::string AlertEngine::to_json() const {
     out += "{\"name\":";
     append_json_string(out, s.rule.name);
     out += ",\"expr\":";
-    append_json_string(out, s.rule.expression());
+    append_json_string(out, tsdb_query_to_string(s.rule.query));
+    out += ",\"op\":";
+    append_json_string(out, std::string(alert_op_name(s.rule.op)));
     out += ",\"series\":";
     append_json_string(out, s.series);
     out += ",\"state\":";

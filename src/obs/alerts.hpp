@@ -1,52 +1,49 @@
 // failmine/obs/alerts.hpp
 //
-// Declarative SLO/alert rules evaluated against the metrics registry.
+// Declarative SLO/alert rules over the time-series store. A rule is a
+// tsdb query (obs/tsdb_query.hpp), a comparison and a threshold,
+// optionally with a hold duration ("for"), one rule per line (rule
+// files and the built-in defaults share the grammar):
 //
-// A rule names an instrument, an extraction function, a comparison and
-// a threshold, optionally with a hold duration ("for"), in a one-line
-// grammar (rule files and built-in defaults share it):
+//   <name>: <tsdb expr> <op> <threshold> [for <N>(ms|s|m|h)]
 //
-//   <name>: <fn>(<metric>[window]) <op> <threshold> [for <seconds>s]
-//
-//   fn  value  counter or gauge absolute value
-//       rate   counter burn rate in events/second
-//       p50 | p90 | p99
-//              histogram quantile
 //   op  >  >=  <  <=
 //
 //   # comments and blank lines are ignored
 //   stream-drops: rate(stream.records_dropped[30s]) > 0
 //   shard-apply-p99: p99(stream.shard0.apply_us) > 50000 for 10s
+//   twin-burn: sum by (twin) (increase(stream.records_dropped{twin=~"*"})) > 0
 //
-// With a time-series store attached (set_history(), the CLI wires the
-// global obs::tsdb() when --tsdb is on), rate rules evaluate the
-// reset-aware counter increase over the trailing window (default 60 s,
-// kDefaultAlertWindowMs) of *stored history*, and quantile rules
-// interpolate from windowed bucket deltas — so a latency spike moves
-// p99 immediately instead of drowning in lifetime-cumulative buckets.
-// Without history the legacy semantics apply: rate falls back to the
-// delta between consecutive evaluations (the first evaluation has no
-// baseline and never fires) and quantiles read the lifetime buckets.
-// The [window] suffix is accepted either way but only meaningful with
-// history.
+// The expression is parsed by parse_tsdb_query and evaluated only by
+// eval_tsdb_query, as an instant query at the store's latest scrape
+// with kDefaultAlertWindowMs as the step, so a rule without a [window]
+// reads the trailing 60 s. Every output series is one label group with
+// its own state machine, named exactly as `GET /query` names it: a
+// group's value in `GET /alerts` equals that series in
+// `GET /query?expr=<expr>&step=60` at the latest scrape, bit for bit.
+// `value(stream.stalled_shards{twin=~"*"}) > 0` therefore fires once
+// per stalled twin while healthy twins stay inactive. Rate, increase
+// and quantile semantics are the query layer's: rate is the increase
+// over the span the window covers, so a rate rule has no value (and no
+// verdict) before its series' second scrape, and a quantile abstains
+// on a window without observations.
 //
-// The engine samples the registry on a background thread (start(); the
-// poll interval is configurable, tests run it synchronously with
-// evaluate_now()) and walks each rule through the conventional state
+// The store is the one attached with set_history() (the CLI attaches
+// the global obs::tsdb() under --tsdb). Without one the engine owns a
+// store over its registry and scrapes it at the start of every
+// evaluation; a scrape always lands (TsdbStore::scrape_once), so two
+// evaluations within one millisecond both see the newest values.
+//
+// The engine evaluates on a background thread (start(); the poll
+// interval is configurable, tests run it synchronously with
+// evaluate_now()) and walks each group through the conventional state
 // machine: inactive -> pending (condition true, hold not yet served) ->
 // firing -> resolved (condition cleared after firing; a fresh breach
-// re-enters pending). Missing instruments evaluate as "no data" and
-// never fire.
-//
-// Rules are label-group aware: the metric is a tsdb selector, and every
-// series it matches gets its own independent state machine ("group").
-// `value(stream.stalled_shards{twin=~"*"}) > 0` therefore fires once
-// per stalled twin while healthy twins stay inactive. A selector
-// without a `{...}` block keeps the legacy full-name-glob semantics, so
-// a plain metric name is exactly one group and nothing changes. A rule
-// matching no series at all evaluates a single synthetic no-data group
-// (so `GET /alerts` always shows at least one row per rule); firing()
-// counts firing *groups*.
+// re-enters pending). A group whose series drops out of the result
+// (no data) keeps its state machine and never breaches; a rule whose
+// query returns nothing at all evaluates a single synthetic no-data
+// group named after the expression (so `GET /alerts` always shows at
+// least one row per rule). firing() counts firing *groups*.
 //
 // Exposure: status() / to_json() back the telemetry server's
 // `GET /alerts`; firing() is a lock-free count for the /healthz body's
@@ -60,57 +57,52 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/tsdb_query.hpp"
 
 namespace failmine::obs {
 
-class TsdbStore;
-
-/// Window a history-backed rate/quantile rule evaluates over when the
-/// rule does not name one with a [window] suffix.
+/// The step every rule is evaluated with: the window of a rule whose
+/// expression names none.
 inline constexpr std::int64_t kDefaultAlertWindowMs = 60'000;
 
-enum class AlertFn { kValue, kRate, kP50, kP90, kP99 };
 enum class AlertOp { kGt, kGe, kLt, kLe };
 enum class AlertState { kInactive, kPending, kFiring, kResolved };
 
-std::string_view alert_fn_name(AlertFn fn);
 std::string_view alert_op_name(AlertOp op);
 std::string_view alert_state_name(AlertState state);
 
 struct AlertRule {
   std::string name;
-  AlertFn fn = AlertFn::kValue;
-  std::string metric;
+  TsdbQuery query;  ///< rendered by tsdb_query_to_string as `expr`
   AlertOp op = AlertOp::kGt;
-  double threshold = 0.0;
+  double threshold = 0.0;   ///< always finite
   std::int64_t for_ms = 0;  ///< hold duration before pending -> firing
-  std::int64_t window_ms = 0;  ///< history window; 0 = kDefaultAlertWindowMs
 
-  /// The rule's expression back in grammar form (minus the name).
-  std::string expression() const;
+  friend bool operator==(const AlertRule&, const AlertRule&) = default;
 };
 
 /// One label group's live status as of the last evaluation. A rule
-/// whose selector matches several series contributes several statuses.
+/// whose query returns several series contributes several statuses.
 struct AlertStatus {
   AlertRule rule;
-  std::string series;  ///< the matched series (rule.metric when no match)
+  std::string series;  ///< the /query series name (the expr when none)
   AlertState state = AlertState::kInactive;
-  bool has_value = false;   ///< false when the metric is absent / no rate yet
-  double last_value = 0.0;  ///< extracted value at the last evaluation
+  bool has_value = false;   ///< false when the query gave no value
+  double last_value = 0.0;  ///< query value at the last evaluation
   std::int64_t since_ms = 0;  ///< ms the group has been in this state
 };
 
 /// Parses the rule grammar above; throws ParseError naming the line on
-/// malformed input.
+/// malformed input, including a non-finite threshold and every window
+/// or duration parse_tsdb_query / parse_tsdb_duration_ms reject.
 std::vector<AlertRule> parse_alert_rules(std::string_view text);
 
 /// Reads and parses a rule file; throws ObsError if unreadable.
@@ -136,9 +128,8 @@ class AlertEngine {
   void add_rule(AlertRule rule);
   std::size_t rule_count() const;
 
-  /// Attaches (or detaches, with nullptr) a time-series store. While
-  /// the store has data, rate and quantile rules evaluate against its
-  /// windowed history; see the header comment for the semantics.
+  /// Attaches (or detaches, with nullptr) the time-series store rules
+  /// are evaluated against. Attaching one releases the engine's own.
   void set_history(TsdbStore* history);
 
   /// Spawns the background evaluation thread. Idempotent.
@@ -147,9 +138,10 @@ class AlertEngine {
   void stop();
   bool running() const;
 
-  /// One synchronous evaluation pass (what the thread runs per tick).
-  /// Usable without start() — tests and one-shot checks drive it
-  /// directly.
+  /// One synchronous evaluation pass (what the thread runs per tick):
+  /// scrapes the engine's own store when none is attached, then
+  /// evaluates every rule. Usable without start() — tests and one-shot
+  /// checks drive it directly.
   void evaluate_now();
 
   /// Number of label groups currently firing (lock-free; safe from any
@@ -165,17 +157,15 @@ class AlertEngine {
   std::string to_json() const;
 
  private:
-  /// The state machine of one matched series. The map key is the series
-  /// name; "" is the synthetic no-data group of an unmatched rule.
+  /// The state machine of one label group. The map key is the query's
+  /// output series name; "" is the synthetic no-data group of a rule
+  /// whose query returned nothing.
   struct GroupState {
     AlertState state = AlertState::kInactive;
     bool has_value = false;
     double last_value = 0.0;
     std::int64_t state_since_ms = 0;    ///< steady ms of last transition
     std::int64_t pending_since_ms = 0;  ///< steady ms the breach began
-    bool has_prev = false;              ///< rate baseline captured
-    double prev_counter = 0.0;
-    std::int64_t prev_ms = 0;
   };
 
   struct RuleState {
@@ -184,14 +174,11 @@ class AlertEngine {
   };
 
   void loop(std::int64_t poll_ms);
-  std::optional<double> extract(const AlertRule& rule,
-                                const std::string& series, GroupState& group,
-                                const MetricsSample& sample,
-                                std::int64_t now_ms) const;
   void evaluate_locked(std::int64_t now_ms);
 
   MetricsRegistry* registry_;
-  TsdbStore* history_ = nullptr;  // guarded by mutex_
+  TsdbStore* history_ = nullptr;    // guarded by mutex_
+  std::unique_ptr<TsdbStore> own_;  // guarded by mutex_; null once attached
   mutable std::mutex mutex_;  // guards rules_ and the stop flag
   std::vector<RuleState> rules_;
   std::atomic<std::size_t> firing_{0};

@@ -67,18 +67,6 @@ std::string labeled_name(std::string_view family,
   return std::string(family) + label_block(std::move(labels));
 }
 
-bool same_labels(std::vector<MetricLabel> a, std::vector<MetricLabel> b) {
-  if (a.size() != b.size()) return false;
-  const auto by_key_value = [](const MetricLabel& x, const MetricLabel& y) {
-    return x.key != y.key ? x.key < y.key : x.value < y.value;
-  };
-  std::sort(a.begin(), a.end(), by_key_value);
-  std::sort(b.begin(), b.end(), by_key_value);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].key != b[i].key || a[i].value != b[i].value) return false;
-  return true;
-}
-
 bool parse_metric_name(std::string_view name, ParsedMetricName& out) {
   out.family.clear();
   out.labels.clear();

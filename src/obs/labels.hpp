@@ -53,8 +53,4 @@ std::string label_block(std::vector<MetricLabel> labels);
 /// trailing garbage); callers treat such names as opaque families.
 bool parse_metric_name(std::string_view name, ParsedMetricName& out);
 
-/// True when both label sets hold the same key/value pairs
-/// (order-insensitive).
-bool same_labels(std::vector<MetricLabel> a, std::vector<MetricLabel> b);
-
 }  // namespace failmine::obs

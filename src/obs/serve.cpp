@@ -198,10 +198,16 @@ void handle_query(int fd, const std::string& query) {
   const double step_s =
       step_text.empty() ? std::max((end_s - start_s) / 240.0, 0.001)
                         : std::atof(step_text.c_str());
-  if (!(step_s > 0.0) || end_s < start_s) {
+  // NaN or a huge time would wrap the millisecond conversions below.
+  const auto in_range = [](double seconds) {
+    return std::fabs(seconds) * 1000.0 <=
+           static_cast<double>(kMaxTsdbDurationMs);
+  };
+  if (!in_range(start_s) || !in_range(end_s) || !in_range(step_s) ||
+      !(step_s > 0.0) || end_s < start_s) {
     bad_requests_counter().add();
     send_response(fd, 400, "Bad Request", "text/plain",
-                  "need start <= end and step > 0\n");
+                  "need start <= end and step > 0, each within 2^53 ms\n");
     return;
   }
   if ((end_s - start_s) / step_s > 100'000.0) {

@@ -34,6 +34,7 @@
 //                         5 min ending at the newest scrape) &step=
 //                         (seconds). 404 until obs::tsdb() has data,
 //                         400 with the parser's message on a bad expr
+//                         and on a NaN or out-of-range time or step
 //   GET /series           stored-series inventory: per-series type,
 //                         sample count, resident bytes and time range,
 //                         plus store-level stats; 404 until the store

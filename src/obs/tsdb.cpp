@@ -337,28 +337,53 @@ struct TsdbStore::Series {
     }
   }
 
-  std::vector<TsdbPoint> read(std::int64_t from, std::int64_t to) const {
+  /// Samples in [from, to] merged across the rings, plus (with
+  /// `baseline`) the last sample before `from`. Only chunks that can
+  /// hold one of them are decoded: those overlapping [from, to] and,
+  /// per ring, the newest one that ends before `from`.
+  std::vector<TsdbPoint> read(std::int64_t from, std::int64_t to,
+                              bool baseline) const {
     std::vector<ChunkCopy> raw_c, mid_c, coarse_c;
     snapshot_rings(raw_c, mid_c, coarse_c);
-    std::vector<TsdbPoint> raw_p, mid_p, coarse_p;
-    for (const auto& c : raw_c) decode_chunk(c, raw_p);
-    for (const auto& c : mid_c) decode_chunk(c, mid_p);
-    for (const auto& c : coarse_c) decode_chunk(c, coarse_p);
+    const auto decode = [&](const std::vector<ChunkCopy>& chunks,
+                            std::vector<TsdbPoint>& pts) {
+      for (std::size_t i = 0; i < chunks.size(); ++i) {
+        const bool overlaps = chunks[i].t_last >= from && chunks[i].t_first <= to;
+        const bool last_before =
+            baseline && chunks[i].t_last < from &&
+            (i + 1 == chunks.size() || chunks[i + 1].t_last >= from);
+        if (overlaps || last_before) decode_chunk(chunks[i], pts);
+      }
+    };
+    // Ring coverage comes from chunk metadata, so skipped chunks still
+    // count. A coarser ring only fills in before the finer ones start,
+    // so it is decoded only when the read reaches back that far.
     constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-    const std::int64_t raw_start = raw_p.empty() ? kMax : raw_p.front().t_ms;
+    const std::int64_t raw_start = raw_c.empty() ? kMax : raw_c.front().t_first;
     const std::int64_t mid_start =
-        std::min(raw_start, mid_p.empty() ? kMax : mid_p.front().t_ms);
+        std::min(raw_start, mid_c.empty() ? kMax : mid_c.front().t_first);
+    std::vector<TsdbPoint> raw_p, mid_p, coarse_p;
+    decode(raw_c, raw_p);
+    if (from <= raw_start) decode(mid_c, mid_p);
+    if (from <= mid_start) decode(coarse_c, coarse_p);
     std::vector<TsdbPoint> out;
     out.reserve(raw_p.size() + mid_p.size() + coarse_p.size());
     for (const auto& p : coarse_p) {
-      if (p.t_ms < mid_start && p.t_ms >= from && p.t_ms <= to) out.push_back(p);
+      if (p.t_ms < mid_start && p.t_ms <= to) out.push_back(p);
     }
     for (const auto& p : mid_p) {
-      if (p.t_ms < raw_start && p.t_ms >= from && p.t_ms <= to) out.push_back(p);
+      if (p.t_ms < raw_start && p.t_ms <= to) out.push_back(p);
     }
     for (const auto& p : raw_p) {
-      if (p.t_ms >= from && p.t_ms <= to) out.push_back(p);
+      if (p.t_ms <= to) out.push_back(p);
     }
+    // Drop what precedes `from`, keeping the last such sample as the
+    // baseline when asked.
+    auto first = std::lower_bound(
+        out.begin(), out.end(), from,
+        [](const TsdbPoint& p, std::int64_t t) { return p.t_ms < t; });
+    if (baseline && first != out.begin()) --first;
+    out.erase(out.begin(), first);
     return out;
   }
 
@@ -432,7 +457,9 @@ void TsdbStore::stop() {
   scrape_once();  // capture the end state
 }
 
-void TsdbStore::scrape_once() { scrape_once(wall_ms()); }
+void TsdbStore::scrape_once() {
+  scrape_once(std::max(wall_ms(), latest_ms() + 1));
+}
 
 void TsdbStore::scrape_once(std::int64_t unix_ms) {
   std::lock_guard<std::mutex> lock(scrape_mutex_);
@@ -545,7 +572,15 @@ std::vector<TsdbPoint> TsdbStore::read_series(std::string_view name,
                                               std::int64_t to_ms) const {
   const Series* s = find_series(name);
   if (s == nullptr) return {};
-  return s->read(from_ms, to_ms);
+  return s->read(from_ms, to_ms, /*baseline=*/false);
+}
+
+std::vector<TsdbPoint> TsdbStore::read_window(std::string_view name,
+                                              std::int64_t from_ms,
+                                              std::int64_t to_ms) const {
+  const Series* s = find_series(name);
+  if (s == nullptr) return {};
+  return s->read(from_ms, to_ms, /*baseline=*/true);
 }
 
 std::optional<double> TsdbStore::value_at(std::string_view name,
@@ -559,64 +594,8 @@ std::optional<double> TsdbStore::value_at(std::string_view name,
 
 std::optional<TsdbIncrease> TsdbStore::increase_over(
     std::string_view name, std::int64_t t_ms, std::int64_t window_ms) const {
-  const auto pts = read_series(
-      name, std::numeric_limits<std::int64_t>::min(), t_ms);
-  return tsdb_increase(pts, t_ms, window_ms);
-}
-
-std::optional<double> TsdbStore::windowed_quantile(std::string_view base,
-                                                   double q, std::int64_t t_ms,
-                                                   std::int64_t window_ms) const {
-  ParsedMetricName want;
-  if (!parse_metric_name(base, want)) return std::nullopt;
-  const std::string prefix = want.family + ".bucket{le=\"";
-  std::vector<std::pair<double, std::string>> finite;
-  std::string inf_name;
-  {
-    std::lock_guard<std::mutex> lock(series_mutex_);
-    for (auto it = series_.lower_bound(prefix);
-         it != series_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-      ParsedMetricName got;
-      if (!parse_metric_name(it->first, got)) continue;
-      const std::string* le = got.find("le");
-      if (le == nullptr) continue;
-      // The bucket must belong to this base: its labels minus `le` are
-      // exactly the base's labels (a bare base selects only unlabeled
-      // buckets, a labeled base only its own twin's).
-      std::vector<MetricLabel> rest;
-      for (const MetricLabel& label : got.labels)
-        if (label.key != "le") rest.push_back(label);
-      if (!same_labels(std::move(rest), want.labels)) continue;
-      if (*le == "+Inf") {
-        inf_name = it->first;
-      } else {
-        finite.emplace_back(std::strtod(le->c_str(), nullptr), it->first);
-      }
-    }
-  }
-  if (finite.empty() && inf_name.empty()) return std::nullopt;
-  std::sort(finite.begin(), finite.end());
-  HistogramSample sample;
-  std::uint64_t total = 0;
-  auto bucket_delta = [&](const std::string& name) -> std::uint64_t {
-    const auto inc = increase_over(name, t_ms, window_ms);
-    if (!inc.has_value() || inc->increase <= 0) return 0;
-    return static_cast<std::uint64_t>(std::llround(inc->increase));
-  };
-  for (const auto& [bound, name] : finite) {
-    sample.upper_bounds.push_back(bound);
-    const std::uint64_t d = bucket_delta(name);
-    sample.buckets.push_back(d);
-    total += d;
-  }
-  const std::uint64_t overflow =
-      inf_name.empty() ? 0 : bucket_delta(inf_name);
-  sample.buckets.push_back(overflow);
-  total += overflow;
-  if (total == 0) return std::nullopt;
-  sample.count = total;
-  return histogram_quantile(sample, q);
+  return tsdb_increase(read_window(name, t_ms - window_ms, t_ms), t_ms,
+                       window_ms);
 }
 
 std::vector<std::string> TsdbStore::series_names() const {

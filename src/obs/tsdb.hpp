@@ -344,7 +344,9 @@ class TsdbStore {
 
   /// Samples every instrument in the registry once, at wall-clock now
   /// or at an explicit virtual timestamp. Scrapes are serialized; a
-  /// timestamp at or before a series' newest sample is dropped.
+  /// timestamp at or before a series' newest sample is dropped, so the
+  /// wall-clock form stamps at least 1 ms after the newest scrape: two
+  /// scrapes within one millisecond both land.
   void scrape_once();
   void scrape_once(std::int64_t unix_ms);
 
@@ -352,6 +354,14 @@ class TsdbStore {
   /// raw / 10 s / 1 m rings (coarse points only before the span the
   /// finer ring still covers), time-sorted. Empty if unknown.
   std::vector<TsdbPoint> read_series(std::string_view name,
+                                     std::int64_t from_ms,
+                                     std::int64_t to_ms) const;
+
+  /// read_series plus the last sample before `from_ms`, when one exists:
+  /// the baseline an increase over a window starting at `from_ms`
+  /// needs, however old. Decodes only the chunks that can hold these
+  /// samples, so the cost follows the window, not the retained history.
+  std::vector<TsdbPoint> read_window(std::string_view name,
                                      std::int64_t from_ms,
                                      std::int64_t to_ms) const;
 
@@ -364,19 +374,6 @@ class TsdbStore {
   std::optional<TsdbIncrease> increase_over(std::string_view name,
                                             std::int64_t t_ms,
                                             std::int64_t window_ms) const;
-
-  /// Quantile from *windowed* bucket deltas: for every stored series
-  /// `base.bucket{le="..."}` computes the increase over
-  /// (t - window_ms, t], assembles a HistogramSample from the deltas
-  /// and runs histogram_quantile on it. Label-aware: a labeled base
-  /// (`family{twin="t3"}`) selects only the bucket series whose labels
-  /// minus `le` match the base's, and a bare base only the unlabeled
-  /// buckets. Returns nullopt when no bucket series exist or the window
-  /// saw no observations — callers should abstain rather than alert
-  /// on 0.
-  std::optional<double> windowed_quantile(std::string_view base, double q,
-                                          std::int64_t t_ms,
-                                          std::int64_t window_ms) const;
 
   std::vector<std::string> series_names() const;
   std::vector<TsdbSeriesInfo> series_info() const;

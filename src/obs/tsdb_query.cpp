@@ -108,6 +108,7 @@ std::string window_to_string(std::int64_t window_ms) {
   return buf;
 }
 
+/// `fn(target[window])`, or `fn(target)` when `window_ms` is 0.
 std::string fn_call_name(const TsdbQuery& q, const std::string& target,
                          std::int64_t window_ms) {
   std::string fn;
@@ -123,7 +124,41 @@ std::string fn_call_name(const TsdbQuery& q, const std::string& target,
       break;
     }
   }
-  return fn + "(" + target + "[" + window_to_string(window_ms) + "])";
+  fn += "(" + target;
+  if (window_ms > 0) fn += "[" + window_to_string(window_ms) + "]";
+  return fn + ")";
+}
+
+/// Why `spec` is not a valid duration (see parse_tsdb_duration_ms), or
+/// "" when it is and `ms` holds it.
+std::string duration_error(std::string_view spec, std::string_view what,
+                           bool positive, std::int64_t& ms) {
+  const std::string text(spec);
+  const std::string head = std::string(what) + " \"" + text + "\": ";
+  char* endp = nullptr;
+  const double n = std::strtod(text.c_str(), &endp);
+  if (endp == text.c_str())
+    return head + "not a number with a unit (e.g. 30s, 5m)";
+  const std::string_view unit =
+      trim(std::string_view(text).substr(endp - text.c_str()));
+  double scale = 0.0;
+  if (unit == "ms") scale = 1.0;
+  else if (unit == "s") scale = 1000.0;
+  else if (unit == "m") scale = 60'000.0;
+  else if (unit == "h") scale = 3'600'000.0;
+  else if (unit.empty()) return head + "missing unit (want ms|s|m|h)";
+  else
+    return head + "unknown " + std::string(what) + " unit \"" +
+           std::string(unit) + "\" (want ms|s|m|h)";
+  // NaN fails every comparison, so it lands in the range error.
+  const double rounded = std::round(n * scale);
+  if (!(rounded <= static_cast<double>(kMaxTsdbDurationMs)))
+    return head + "out of range (at most 2^53 ms)";
+  if (positive ? rounded < 1.0 : rounded < 0.0)
+    return head + (positive ? "must be positive (at least 1 ms)"
+                            : "must be non-negative");
+  ms = static_cast<std::int64_t>(rounded);
+  return "";
 }
 
 constexpr std::string_view kBucketInfix = ".bucket{le=\"";
@@ -212,7 +247,7 @@ TsdbQuery parse_tsdb_query(std::string_view expr) {
     }
     if (!ident.empty()) {
       if (!parse_fn(ident, q.fn, q.quantile)) {
-        fail(expr, "unknown function \"" + std::string(ident) +
+        fail(expr, "unknown fn \"" + std::string(ident) +
                        "\" (want value|rate|increase|pNN or sum|avg|min|max)");
       }
       s = inner;
@@ -229,23 +264,14 @@ TsdbQuery parse_tsdb_query(std::string_view expr) {
   if (!s.empty() && s.back() == ']') {
     const std::size_t open = s.rfind('[');
     if (open == std::string_view::npos) fail(expr, "unbalanced ']'");
-    const std::string spec(trim(s.substr(open + 1, s.size() - open - 2)));
-    char* endp = nullptr;
-    const double n = std::strtod(spec.c_str(), &endp);
-    const std::string_view unit = trim(std::string_view(endp));
-    double scale = 0.0;
-    if (unit == "ms") scale = 1.0;
-    else if (unit == "s") scale = 1000.0;
-    else if (unit == "m") scale = 60'000.0;
-    else if (unit == "h") scale = 3'600'000.0;
-    if (endp == spec.c_str() || scale == 0.0 || !(n > 0)) {
-      fail(expr, "bad window \"" + spec + "\" (want e.g. [30s], [5m])");
-    }
-    q.window_ms = static_cast<std::int64_t>(std::llround(n * scale));
+    const std::string why =
+        duration_error(trim(s.substr(open + 1, s.size() - open - 2)),
+                       "window", /*positive=*/true, q.window_ms);
+    if (!why.empty()) fail(expr, why);
     s = trim(s.substr(0, open));
   }
 
-  if (s.empty()) fail(expr, "missing metric selector");
+  if (s.empty()) fail(expr, "empty metric selector");
   for (char c : s) {
     if (!(is_ident_char(c) || c == '.' || c == '*' || c == '{' || c == '}' ||
           c == '=' || c == '"' || c == '+' || c == '-' || c == '/' ||
@@ -258,14 +284,18 @@ TsdbQuery parse_tsdb_query(std::string_view expr) {
   return q;
 }
 
+std::int64_t parse_tsdb_duration_ms(std::string_view spec,
+                                    std::string_view what, bool positive) {
+  std::int64_t ms = 0;
+  const std::string why = duration_error(spec, what, positive, ms);
+  if (!why.empty()) throw failmine::ParseError(why);
+  return ms;
+}
+
 std::string tsdb_query_to_string(const TsdbQuery& q) {
-  std::string inner;
-  if (q.fn == TsdbFn::kValue) {
-    inner = q.selector;
-    if (q.window_ms > 0) inner += "[" + window_to_string(q.window_ms) + "]";
-  } else {
-    inner = fn_call_name(q, q.selector, q.window_ms);
-  }
+  std::string inner = fn_call_name(q, q.selector, q.window_ms);
+  if (q.fn == TsdbFn::kValue && q.window_ms > 0)
+    inner += "[" + window_to_string(q.window_ms) + "]";
   if (q.agg == TsdbAgg::kNone) return inner;
   std::string out = agg_name(q.agg);
   if (!q.by.empty()) {
@@ -400,25 +430,28 @@ void eval_plain(const TsdbStore& store, const TsdbQuery& q,
                       : std::max<std::int64_t>(
                             5 * store.scrape_interval_ms(), window);
   const TsdbSelector sel = parse_tsdb_selector(q.selector);
+  // Every window starts at or after this; read_window adds the baseline
+  // before it, so a point's value does not depend on where the range
+  // starts (an instant and a range query agree at every step).
+  const std::int64_t from = grid.front() - std::max(window, staleness);
   for (const auto& name : store.series_names()) {
+    // Legacy blockless selector: full-name glob, bucket sub-series
+    // excluded (they only match explicit {le=...} selectors).
+    if (!sel.has_block &&
+        (name.find(kBucketInfix) != std::string::npos ||
+         !tsdb_glob_match(q.selector, name)))
+      continue;
     ParsedMetricName series;
     if (!parse_metric_name(name, series)) {
       series.family = name;
       series.labels.clear();
     }
-    if (!sel.has_block) {
-      // Legacy blockless selector: full-name glob, bucket sub-series
-      // excluded (they only match explicit {le=...} selectors).
-      if (name.find(std::string(kBucketInfix)) != std::string::npos) continue;
-      if (!tsdb_glob_match(q.selector, name)) continue;
-    } else {
-      // Bucket sub-series stay hidden unless the selector asks for `le`.
-      if (series.find("le") != nullptr && !sel.matches_key("le")) continue;
-      if (!tsdb_selector_matches(sel, series)) continue;
-    }
-    const std::int64_t lookback = std::max(window, staleness);
-    const auto pts =
-        store.read_series(name, grid.front() - lookback - 1, grid.back());
+    // Bucket sub-series stay hidden unless the selector asks for `le`.
+    if (sel.has_block &&
+        ((series.find("le") != nullptr && !sel.matches_key("le")) ||
+         !tsdb_selector_matches(sel, series)))
+      continue;
+    const auto pts = store.read_window(name, from, grid.back());
     if (pts.empty()) continue;
     Evaluated ev;
     ev.name = fn_call_name(q, name, window);
@@ -433,10 +466,12 @@ void eval_plain(const TsdbStore& store, const TsdbQuery& q,
           any = true;
         }
       } else {
+        // One sample covers no time: neither rate nor increase has a
+        // value yet (see the header for the rate definition).
         const auto inc = tsdb_increase(pts, t, window);
-        if (!inc.has_value()) continue;
+        if (!inc.has_value() || inc->covered_ms <= 0) continue;
         ev.values[i] = q.fn == TsdbFn::kRate
-                           ? inc->increase / (window / 1000.0)
+                           ? inc->increase / (inc->covered_ms / 1000.0)
                            : inc->increase;
         any = true;
       }
@@ -466,7 +501,9 @@ void eval_quantile(const TsdbStore& store, const TsdbQuery& q,
   constexpr std::string_view kBucketSuffix = ".bucket";
   for (const auto& name : names) {
     ParsedMetricName parsed;
-    if (!parse_metric_name(name, parsed)) continue;
+    if (name.find(".bucket{") == std::string::npos ||
+        !parse_metric_name(name, parsed))
+      continue;
     if (parsed.family.size() <= kBucketSuffix.size() ||
         parsed.family.compare(parsed.family.size() - kBucketSuffix.size(),
                               kBucketSuffix.size(), kBucketSuffix) != 0)
@@ -504,7 +541,7 @@ void eval_quantile(const TsdbStore& store, const TsdbQuery& q,
     for (const Bucket& b : base.buckets) {
       buckets.push_back(
           {b.bound, b.inf,
-           store.read_series(b.name, grid.front() - window - 1, grid.back())});
+           store.read_window(b.name, grid.front() - window, grid.back())});
     }
     std::sort(buckets.begin(), buckets.end(),
               [](const LoadedBucket& a, const LoadedBucket& b) {

@@ -12,6 +12,10 @@
 //             | key '=~' '"' glob '"'          (label present + '*'-glob)
 //   window   := '[' N (ms|s|m|h) ']'           (defaults to the step)
 //
+// N is a decimal number; a window rounds to whole milliseconds and must
+// land in [1 ms, kMaxTsdbDurationMs], so a unitless, non-finite, huge or
+// sub-millisecond window is a ParseError rather than a silent default.
+//
 // Examples:
 //   rate(stream.records_processed[1m])
 //   sum(rate(stream.shard*.processed[30s]))
@@ -30,15 +34,23 @@
 // block a match. Aggregating `by (label)` emits one output series per
 // distinct value tuple, named `<expr>{label="value",...}`.
 //
-// `rate` is `increase` divided by the window in seconds, so tiled
-// windows reconcile exactly with the cumulative counter. Quantile
+// `increase` is the reset-aware growth over the window (tsdb_increase)
+// and `rate` is that increase divided by the span it covers, in
+// seconds. The covered span is the whole window whenever a sample at or
+// before the window start serves as the baseline — so tiled windows
+// reconcile exactly with the cumulative counter — and otherwise runs
+// from the series' first sample, so a series' first window is not
+// under-reported. Both give no value while the covered span is 0 (a
+// single sample): one scrape says nothing about a rate. Quantile
 // functions match the store's `<base>.bucket{le="..."}` series,
 // compute per-bucket increases over the window and run the shared
-// histogram_quantile on the deltas; a labeled histogram's buckets
+// histogram_quantile on the deltas, abstaining on a window with no
+// observations; a labeled histogram's buckets
 // (`family.bucket{le="...",twin="..."}`) stay grouped per label set.
 //
-// The same engine backs `GET /query` / `GET /series` on obs::serve and
-// the CLI's end-of-run sparkline trend report.
+// The same engine backs `GET /query` / `GET /series` on obs::serve, the
+// alert engine (obs/alerts.hpp: every rule is an instant query) and the
+// CLI's end-of-run sparkline trend report.
 
 #pragma once
 
@@ -55,6 +67,12 @@ namespace failmine::obs {
 enum class TsdbAgg { kNone, kSum, kAvg, kMin, kMax };
 enum class TsdbFn { kValue, kRate, kIncrease, kQuantile };
 
+/// Longest duration a window or an alert rule's `for` hold may name:
+/// 2^53 ms (about 285,000 years). Every accepted duration is an exact
+/// double, so it renders and re-parses unchanged, and `t - window`
+/// cannot overflow for any timestamp a store holds.
+inline constexpr std::int64_t kMaxTsdbDurationMs = std::int64_t{1} << 53;
+
 struct TsdbQuery {
   TsdbAgg agg = TsdbAgg::kNone;
   TsdbFn fn = TsdbFn::kValue;
@@ -62,15 +80,27 @@ struct TsdbQuery {
   std::string selector;
   std::vector<std::string> by;  ///< labels of the `by (...)` clause
   std::int64_t window_ms = 0;   ///< 0 = default to the query step
+
+  friend bool operator==(const TsdbQuery&, const TsdbQuery&) = default;
 };
 
 /// Parses an expression; throws failmine::ParseError with a pointed
 /// message on malformed input.
 TsdbQuery parse_tsdb_query(std::string_view expr);
 
-/// Canonical rendering of a parsed query (used as the output series
-/// name for aggregations).
+/// Canonical rendering of a parsed query: parse_tsdb_query of it yields
+/// the same query. A query without a window renders without one. Used
+/// as the output series name for aggregations and as the `expr` of an
+/// alert rule.
 std::string tsdb_query_to_string(const TsdbQuery& q);
+
+/// Parses a duration `N(ms|s|m|h)`, as a window or an alert `for` hold
+/// spells it, into milliseconds rounded to nearest. Throws
+/// failmine::ParseError, naming `what`, when N or the unit is missing
+/// or unknown, or when the result is not finite, exceeds
+/// kMaxTsdbDurationMs, or falls below 1 ms (`positive`) or 0.
+std::int64_t parse_tsdb_duration_ms(std::string_view spec,
+                                    std::string_view what, bool positive);
 
 /// '*'-glob match (no other metacharacters).
 bool tsdb_glob_match(std::string_view pattern, std::string_view text);
@@ -85,8 +115,7 @@ struct TsdbLabelMatcher {
 };
 
 /// A parsed series selector: a '*'-glob over the family name plus zero
-/// or more label matchers. Shared by the query engine and the alert
-/// engine's per-label-group rule expansion.
+/// or more label matchers.
 struct TsdbSelector {
   std::string family = "*";
   std::vector<TsdbLabelMatcher> matchers;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <unistd.h>
 
 #include "joblog/job.hpp"
@@ -43,6 +44,15 @@ struct ClassifyCase {
   bool software;
   ExitClass expected;
 };
+
+// Without a printer GoogleTest names each case by the raw bytes of the
+// struct, padding bytes included, which vary from build to build. The
+// inputs alone identify a case: exit135_sig11_system_io.
+void PrintTo(const ClassifyCase& c, std::ostream* os) {
+  *os << "exit" << c.exit_code << "_sig" << c.signal
+      << (c.system ? "_system" : "") << (c.io ? "_io" : "")
+      << (c.software ? "_software" : "");
+}
 
 class ClassifyExit : public ::testing::TestWithParam<ClassifyCase> {};
 

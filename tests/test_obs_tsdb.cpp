@@ -2,8 +2,9 @@
 // round-trips over irregular intervals, counter resets and non-finite
 // values), the pure range helpers, the store (scraping, staleness,
 // multi-resolution downsampling, series budgets, tear-free concurrent
-// reads), the query grammar/engine, and the /query + /series HTTP
-// surface on the telemetry server.
+// reads), the query grammar (seeded mutations must parse and round-trip
+// or be rejected) and engine, and the /query + /series HTTP surface on
+// the telemetry server, including the /alerts = /query contract.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +12,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "grammar_mutator.hpp"
+#include "obs/alerts.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/serve.hpp"
 #include "obs/tsdb.hpp"
@@ -317,6 +322,50 @@ TEST(TsdbStore, DownsamplingRetainsAlignedHistoryPastRawRing) {
   }
 }
 
+TEST(TsdbStore, ReadWindowAddsTheBaselineAndMatchesAFullRead) {
+  // read_window decodes only the chunks a window needs; across raw,
+  // 10 s and 1 m rings it must return exactly what a full-history read
+  // holds from `from` on, plus the last sample before `from`.
+  MetricsRegistry reg;
+  auto config = test_config(&reg);
+  config.raw_chunks = 2;
+  config.mid_chunks = 2;
+  TsdbStore store(config);
+  constexpr int kTicks = 1200;
+  for (int i = 0; i < kTicks; ++i) {
+    reg.gauge("noisy").set(std::sin(static_cast<double>(i)) * 1e6);
+    store.scrape_once(kT0 + i * 1000);
+  }
+  const std::int64_t end = kT0 + (kTicks - 1) * 1000;
+  const auto full =
+      store.read_series("noisy", std::numeric_limits<std::int64_t>::min(), end);
+  ASSERT_GT(full.size(), 2u);
+  // Every sample and the millisecond after it, so some `from` lands
+  // exactly on each ring's first sample.
+  std::vector<std::int64_t> froms = {full.front().t_ms - 5'000, end + 5'000};
+  for (const TsdbPoint& p : full) {
+    froms.push_back(p.t_ms);
+    froms.push_back(p.t_ms + 1);
+  }
+  for (const std::int64_t from : froms) {
+    for (const std::int64_t to : {from + 2'000, from + 60'000, end}) {
+      std::vector<TsdbPoint> want;
+      for (std::size_t i = 0; i < full.size(); ++i) {
+        const bool last_before = full[i].t_ms < from &&
+                                 (i + 1 == full.size() || full[i + 1].t_ms >= from);
+        if (full[i].t_ms <= to && (full[i].t_ms >= from || last_before))
+          want.push_back(full[i]);
+      }
+      const auto got = store.read_window("noisy", from, to);
+      ASSERT_EQ(got.size(), want.size()) << from - kT0 << ".." << to - kT0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].t_ms, want[i].t_ms);
+        EXPECT_EQ(bits_of(got[i].value), bits_of(want[i].value));
+      }
+    }
+  }
+}
+
 TEST(TsdbStore, SeriesBudgetCountsDrops) {
   MetricsRegistry reg;
   reg.counter("a").add(1);
@@ -342,6 +391,21 @@ TEST(TsdbStore, NonMonotonicScrapesAreDropped) {
   const auto after = store.stats();
   EXPECT_GT(after.dropped, before.dropped);
   ASSERT_EQ(store.read_series("c", kT0 - 10'000, kT0 + 10'000).size(), 1u);
+}
+
+TEST(TsdbStore, WallClockScrapesAllLandEvenWithinOneMillisecond) {
+  MetricsRegistry reg;
+  auto& g = reg.gauge("g");
+  TsdbStore store(test_config(&reg));
+  for (int i = 0; i < 20; ++i) {
+    g.set(i);
+    store.scrape_once();
+  }
+  const auto pts = store.read_series(
+      "g", std::numeric_limits<std::int64_t>::min(), store.latest_ms());
+  ASSERT_EQ(pts.size(), 20u);
+  EXPECT_EQ(pts.back().value, 19.0);
+  EXPECT_EQ(store.stats().dropped, 0u);
 }
 
 TEST(TsdbStore, BackgroundScraperStartsAndStops) {
@@ -398,24 +462,131 @@ TEST(TsdbQueryParse, FullGrammar) {
 TEST(TsdbQueryParse, RoundTripsThroughToString) {
   for (const char* expr :
        {"rate(a.b[1m])", "sum(rate(x*[30s]))", "p95(h.us[10s])",
-        "value(g)", "avg(increase(c[1500ms]))"}) {
+        "value(g)", "avg(increase(c[1500ms]))", "rate(x)", "p99(h)",
+        "sum(rate(x))", "sum by (twin) (rate(x{twin=~\"*\"}))",
+        "max by (twin,zone) (p90(h{twin=~\"t*\"}[5m]))", "g[30s]"}) {
     const auto q = parse_tsdb_query(expr);
     const auto again = parse_tsdb_query(tsdb_query_to_string(q));
     EXPECT_EQ(again.agg, q.agg) << expr;
     EXPECT_EQ(again.fn, q.fn) << expr;
     EXPECT_EQ(again.selector, q.selector) << expr;
+    EXPECT_EQ(again.by, q.by) << expr;
     EXPECT_EQ(again.window_ms, q.window_ms) << expr;
     EXPECT_DOUBLE_EQ(again.quantile, q.quantile) << expr;
   }
+  // No window given, none rendered (the query step is used at eval).
+  EXPECT_EQ(tsdb_query_to_string(parse_tsdb_query("rate(x)")), "rate(x)");
+  EXPECT_EQ(tsdb_query_to_string(parse_tsdb_query("sum(rate(x))")),
+            "sum(rate(x))");
 }
 
 TEST(TsdbQueryParse, RejectsMalformedExpressions) {
   for (const char* expr :
        {"", "frobnicate(m)", "p0(m)", "p100(m)", "rate(m", "rate(m))",
         "rate(m[5])x", "rate(m[5q])", "rate(m[-5s])", "sum()",
-        "rate()", "m[weird"}) {
+        "rate()", "m[weird",
+        // Out-of-range and unitless windows: non-finite, past 2^53 ms,
+        // rounding to 0 ms, or without a unit.
+        "rate(x[infs])", "rate(x[1e300s])", "rate(x[nanm])",
+        "rate(x[1e16ms])", "rate(x[0.4ms])", "rate(x[0s])", "rate(x[30])"}) {
     EXPECT_THROW((void)parse_tsdb_query(expr), failmine::ParseError) << expr;
   }
+  // Durations at the edges of the accepted range.
+  EXPECT_EQ(parse_tsdb_query("rate(x[0.5ms])").window_ms, 1);
+  EXPECT_EQ(parse_tsdb_query("rate(x[9007199254740992ms])").window_ms,
+            kMaxTsdbDurationMs);
+  EXPECT_EQ(parse_tsdb_duration_ms("0s", "'for' duration", false), 0);
+  EXPECT_THROW((void)parse_tsdb_duration_ms("0s", "window", true),
+               failmine::ParseError);
+}
+
+TEST(TsdbQueryParse, SeededMutationsParseAndRoundTripOrThrow) {
+  // Corpus: every query spelled in the tests, the README, the CLI's
+  // trend reports, and the expressions of the built-in and fleet alert
+  // rules.
+  std::vector<std::string> corpus = {
+      "rate(stream.records_processed[1m])",
+      "sum(rate(stream.shard*.processed[30s]))",
+      "p99(stream.router.batch_us[500ms])",
+      "value(stream.queue_depth)",
+      "stream.queue_depth",
+      "increase(c[2h])",
+      "avg(value(g))",
+      "min(g)",
+      "max(g)",
+      "rate(a.b[1m])",
+      "sum(rate(x*[30s]))",
+      "p95(h.us[10s])",
+      "avg(increase(c[1500ms]))",
+      "rate(x)",
+      "p99(h)",
+      "sum(rate(x))",
+      "g[30s]",
+      "max by (twin,zone) (p90(h{twin=~\"t*\"}[5m]))",
+      "sum(increase(shard*.processed[10s]))",
+      "value(depth)",
+      "p99(lat.us[1m])",
+      "value(g)",
+      "value(f{twin=~\"*\"})",
+      "sum by (twin) (rate(stream.records_in{twin=~\"*\"}[1m]))",
+      "avg(value(g{twin=\"t0\"}))",
+      "increase(f[10s])",
+      "sum(increase(f{twin=~\"*\"}[10s]))",
+      "sum by (twin) (increase(f{twin=~\"*\"}[10s]))",
+      "increase(f{twin=\"a\"}[10s])",
+      "p99(lat.us{twin=~\"*\"}[1m])",
+      "increase(tsdbe2e.jobs[1m])",
+      "value(tsdbe2e.jobs)",
+      "value(stream.window.failure_rate{twin=\"t3\"})",
+      "rate(stream.records_in[10s])",
+      "rate(stream.records_processed[10s])",
+      "value(stream.window.failure_rate)",
+      "p99(stream.router.batch_us[30s])",
+      "sum(rate(stream.records_in{twin=~\"*\"}[10s]))",
+      "sum by (twin) (rate(stream.records_processed{twin=~\"*\"}[10s]))",
+      "sum by (twin) (value(stream.window.failure_rate{twin=~\"*\"}))",
+      "rate(stream.records_dropped{twin=~\"*\"})",
+      "value(stream.stalled_shards{twin=~\"*\"})",
+      "rate(stream.records_dropped[30s])",
+      "p99(stream.shard0.apply_us)",
+      "sum by (twin) (increase(stream.records_dropped{twin=~\"*\"}[30s]))",
+      "hostile{k=\"a\\\"b\"}",
+  };
+  for (const AlertRule& rule : default_alert_rules())
+    corpus.push_back(tsdb_query_to_string(rule.query));
+  // Every query in the repo parses as written.
+  for (const std::string& expr : corpus)
+    EXPECT_NO_THROW((void)parse_tsdb_query(expr)) << expr;
+
+  test::GrammarMutator mutator(corpus, /*seed=*/20190624);
+  std::size_t parsed = 0, rejected = 0, failures = 0;
+  while (mutator.edits() < 100'000) {
+    const std::string input = mutator.next();
+    TsdbQuery q;
+    try {
+      q = parse_tsdb_query(input);
+    } catch (const failmine::ParseError&) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const std::string text = tsdb_query_to_string(q);
+    try {
+      if (!(parse_tsdb_query(text) == q) && ++failures <= 5)
+        ADD_FAILURE() << testing::PrintToString(input) << " renders as "
+                      << testing::PrintToString(text)
+                      << ", which parses to a different query";
+    } catch (const failmine::ParseError& e) {
+      if (++failures <= 5)
+        ADD_FAILURE() << testing::PrintToString(input) << " renders as "
+                      << testing::PrintToString(text)
+                      << ", which does not parse: " << e.what();
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  // The mutator must exercise both verdicts, not just one.
+  EXPECT_GT(parsed, 1'000u);
+  EXPECT_GT(rejected, 1'000u);
 }
 
 TEST(TsdbQueryParse, GlobMatch) {
@@ -482,11 +653,6 @@ TEST(TsdbQueryEval, WindowedQuantileSeesOnlyTheSpike) {
   // Lifetime p99 stays in the fastest bucket (50 of 100050 is well
   // under the 99th percentile), but the trailing 1 m window contains
   // only the slow deltas.
-  const auto windowed =
-      store.windowed_quantile("lat.us", 0.99, kT0 + 120'000, 60'000);
-  ASSERT_TRUE(windowed.has_value());
-  EXPECT_GT(*windowed, 1000.0);
-
   const auto q = parse_tsdb_query("p99(lat.us[1m])");
   const auto result =
       eval_tsdb_query(store, q, kT0 + 120'000, kT0 + 120'000, 60'000);
@@ -495,9 +661,37 @@ TEST(TsdbQueryEval, WindowedQuantileSeesOnlyTheSpike) {
   EXPECT_GT(result.series[0].points[0].value, 1000.0);
 
   // A window with no observations abstains instead of reporting 0.
-  EXPECT_FALSE(
-      store.windowed_quantile("lat.us", 0.99, kT0 + 600'000, 10'000)
-          .has_value());
+  const auto quiet = parse_tsdb_query("p99(lat.us[10s])");
+  EXPECT_TRUE(eval_tsdb_query(store, quiet, kT0 + 600'000, kT0 + 600'000,
+                              10'000)
+                  .series.empty());
+}
+
+TEST(TsdbQueryEval, RateDividesIncreaseByTheCoveredSpan) {
+  MetricsRegistry reg;
+  auto& drops = reg.counter("drops");
+  TsdbStore store(test_config(&reg));
+  store.scrape_once(kT0);
+  const auto instant = [&](const char* expr) {
+    const auto r = eval_tsdb_query(store, parse_tsdb_query(expr),
+                                   store.latest_ms(), store.latest_ms(),
+                                   60'000);
+    return r.series.empty() ? std::numeric_limits<double>::quiet_NaN()
+                            : r.series[0].points.back().value;
+  };
+  // One scrape covers no time: neither rate nor increase has a value.
+  EXPECT_TRUE(std::isnan(instant("rate(drops)")));
+  EXPECT_TRUE(std::isnan(instant("increase(drops)")));
+  EXPECT_EQ(instant("value(drops)"), 0.0);
+
+  // Two scrapes 20 s apart, +30: the series' first 60 s window covers
+  // 20 s, so rate is 30 / 20 s rather than an under-reported 30 / 60 s.
+  drops.add(30);
+  store.scrape_once(kT0 + 20'000);
+  EXPECT_DOUBLE_EQ(instant("rate(drops)"), 1.5);
+  EXPECT_DOUBLE_EQ(instant("increase(drops)"), 30.0);
+  // A baseline precedes a 10 s window: ÷ the whole window.
+  EXPECT_DOUBLE_EQ(instant("rate(drops[10s])"), 3.0);
 }
 
 TEST(TsdbQueryEval, JsonShapes) {
@@ -709,11 +903,12 @@ TEST(TsdbQueryEval, LabeledHistogramQuantilesStayPerTwin) {
       EXPECT_GT(series.points[0].value, 1000.0) << series.name;
   }
 
-  // The store-level windowed quantile resolves labeled bases too.
-  const auto wq = store.windowed_quantile("lat.us{twin=\"b\"}", 0.99,
-                                          kT0 + 60'000, 60'000);
-  ASSERT_TRUE(wq.has_value());
-  EXPECT_GT(*wq, 1000.0);
+  // An exact matcher resolves one labeled base.
+  const auto b = eval_tsdb_query(
+      store, parse_tsdb_query("p99(lat.us{twin=\"b\"}[1m])"), kT0 + 60'000,
+      kT0 + 60'000, 60'000);
+  ASSERT_EQ(b.series.size(), 1u);
+  EXPECT_GT(b.series[0].points[0].value, 1000.0);
 }
 
 // ---- concurrency -------------------------------------------------------
@@ -823,8 +1018,8 @@ TEST(TsdbServeE2E, QueryAndSeriesEndpoints) {
   server.start();
   const auto port = server.port();
 
-  // 404 until the global store has data (this test is the only one in
-  // the binary that touches obs::tsdb()).
+  // 404 until the global store has data (this is the first test in the
+  // binary that touches obs::tsdb()).
   EXPECT_EQ(http_get(port, "/query?expr=value(x)").status, 404);
   EXPECT_EQ(http_get(port, "/series").status, 404);
 
@@ -852,6 +1047,11 @@ TEST(TsdbServeE2E, QueryAndSeriesEndpoints) {
   EXPECT_EQ(r.status, 400);
   EXPECT_NE(r.body.find("tsdb query"), std::string::npos) << r.body;
   EXPECT_EQ(http_get(port, "/query?expr=value(x)&step=-1").status, 400);
+  // A NaN or out-of-range time would wrap the millisecond step grid.
+  EXPECT_EQ(http_get(port, "/query?expr=value(x)&start=nan&step=1").status,
+            400);
+  EXPECT_EQ(http_get(port, "/query?expr=value(x)&end=1e300&step=1").status,
+            400);
 
   r = http_get(port, "/series");
   EXPECT_EQ(r.status, 200);
@@ -864,6 +1064,77 @@ TEST(TsdbServeE2E, QueryAndSeriesEndpoints) {
   EXPECT_GT(metrics().counter("obs.serve.requests{path=\"/series\"}").value(),
             0u);
   server.stop();
+}
+
+TEST(TsdbServeE2E, AlertsEqualQueryAtTheLatestScrape) {
+  // The /alerts = /query contract over HTTP: with the global store
+  // attached, every /alerts group's value is the same-named series of
+  // `GET /query?expr=<expr>&step=60` at the newest scrape, bit for bit
+  // (both surfaces print the double at round-trip precision).
+  const std::int64_t t0 = kT0 + 3'600'000;  // after TsdbServeE2E's scrapes
+  alerts().set_history(&tsdb());
+  alerts().set_rules(parse_alert_rules(
+      "depth: value(contract.depth{twin=~\"*\"}) > 1\n"
+      "burn: rate(contract.drops{twin=~\"*\"}) > 0\n"
+      "burn10: rate(contract.drops{twin=~\"*\"}[10s]) > 0\n"
+      "slow: p99(contract.lat_us{twin=~\"*\"}) > 100\n"
+      "fleet: sum by (twin) (increase(contract.drops{twin=~\"*\"})) > 5\n"));
+  for (int step = 1; step <= 3; ++step) {
+    for (const char* twin : {"t0", "t1"}) {
+      metrics().gauge("contract.depth", {{"twin", twin}}).set(step * 0.7);
+      metrics().counter("contract.drops", {{"twin", twin}}).add(3 * step);
+      metrics()
+          .histogram("contract.lat_us", {{"twin", twin}}, {10.0, 1000.0})
+          .observe(step * 97.0);
+    }
+    tsdb().scrape_once(t0 + step * 7'000);
+  }
+  alerts().evaluate_now();
+
+  TelemetryServer server;
+  server.start();
+  const std::string alerts_body = http_get(server.port(), "/alerts").body;
+  std::size_t checked = 0;
+  for (const AlertStatus& status : alerts().status()) {
+    ASSERT_TRUE(status.has_value) << status.series;
+    char stamp[48];
+    std::snprintf(stamp, sizeof(stamp), "[%.3f,", tsdb().latest_ms() / 1000.0);
+    const std::string point = stamp + json_number(status.last_value) + "]";
+    // The /alerts row carries the engine's value...
+    std::string row = "\"series\":";
+    append_json_string(row, status.series);
+    row += ",\"state\":";
+    const std::size_t at = alerts_body.find(row);
+    ASSERT_NE(at, std::string::npos) << status.series;
+    EXPECT_NE(alerts_body.find("\"value\":" + json_number(status.last_value),
+                               at),
+              std::string::npos)
+        << status.series;
+    // ...and /query names the same series with the same value last.
+    std::string expr;
+    for (char c : tsdb_query_to_string(status.rule.query)) {
+      char enc[4];
+      std::snprintf(enc, sizeof(enc), "%%%02X",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      expr += enc;
+    }
+    const HttpResponse r = http_get(server.port(), "/query?expr=" + expr +
+                                                       "&step=60");
+    ASSERT_EQ(r.status, 200) << r.body;
+    std::string name = "{\"name\":";
+    append_json_string(name, status.series);
+    const std::size_t series_at = r.body.find(name);
+    ASSERT_NE(series_at, std::string::npos) << status.series << " " << r.body;
+    const std::size_t end = r.body.find("]]}", series_at);
+    ASSERT_NE(end, std::string::npos);
+    EXPECT_EQ(r.body.substr(0, end + 1).rfind(point), end + 1 - point.size())
+        << status.series << " wants " << point << " last in " << r.body;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 10u);  // 2 twins x 5 rules
+  server.stop();
+  alerts().set_rules({});
+  alerts().set_history(nullptr);
 }
 
 }  // namespace
