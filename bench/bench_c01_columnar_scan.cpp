@@ -1,14 +1,16 @@
-// C01: columnar scan kernels vs the row-oriented scans at 100M rows.
+// C01: the shared E02/E03 accumulator fed from columns vs from rows at
+// 100M rows.
 //
 // Not a paper experiment — this is the performance gate for the
 // columnar record store (ROADMAP item 1). It generates a synthetic
-// 100M-row job stream (sim/synthetic.hpp) into BOTH representations,
-// runs the E02 exit breakdown and the E03 per-user aggregation on each,
-// checks the columnar results are bit-identical to the row results
-// (exact counts AND exact f64 sums — the kernels promise the same
-// accumulation order), and requires the columnar scans to be at least
-// 5x faster. Either failure is fatal: a silent parity break or a
-// performance regression exits 1 so CI catches it.
+// 100M-row job stream (sim/synthetic.hpp) into BOTH representations and
+// runs the E02 exit breakdown and the E03 per-user aggregation on each:
+// the one analysis::JobGroups accumulator, driven by its row driver
+// (analysis::group_jobs) and by its column driver
+// (columnar::group_jobs). It checks the columnar results are
+// bit-identical to the row results (exact counts AND exact f64 sums) and
+// requires the columnar scans to be at least 5x faster. Either failure
+// is fatal: a silent parity break or a performance regression exits 1.
 //
 // Row count: FAILMINE_C01_ROWS=<N> (default 100,000,000). The stored
 // bytes/row of each representation are reported alongside the speedups
@@ -24,10 +26,10 @@
 #include <cstring>
 #include <vector>
 
-#include "analysis/user_stats.hpp"
+#include "analysis/accumulators.hpp"
 #include "bench_common.hpp"
-#include "columnar/analyses.hpp"
 #include "columnar/builder.hpp"
+#include "columnar/engine.hpp"
 #include "columnar/table.hpp"
 #include "core/joint_analyzer.hpp"
 #include "sim/synthetic.hpp"
@@ -60,6 +62,27 @@ sim::SyntheticJobStreamConfig stream_config() {
 const topology::MachineConfig& machine() {
   static const topology::MachineConfig config{};
   return config;
+}
+
+using analysis::JobKey;
+
+core::ExitBreakdown e02_rows(const std::vector<joblog::JobRecord>& rows) {
+  return core::exit_breakdown_of(
+      analysis::group_jobs(rows, JobKey::kExitClass, machine()));
+}
+
+core::ExitBreakdown e02_columns(const columnar::JobTable& table) {
+  return core::exit_breakdown_of(
+      columnar::group_jobs(table, JobKey::kExitClass, machine()));
+}
+
+std::vector<analysis::GroupStats> e03_rows(
+    const std::vector<joblog::JobRecord>& rows) {
+  return analysis::group_jobs(rows, JobKey::kUser, machine()).finalize();
+}
+
+std::vector<analysis::GroupStats> e03_columns(const columnar::JobTable& table) {
+  return columnar::group_jobs(table, JobKey::kUser, machine()).finalize();
 }
 
 const std::vector<joblog::JobRecord>& row_jobs() {
@@ -153,7 +176,7 @@ void check_e03_parity(const std::vector<analysis::GroupStats>& row,
 void print_table() {
   const std::uint64_t n = c01_rows();
   std::printf("\n================================================================\n");
-  std::printf("C01  columnar scan kernels vs row scans\n");
+  std::printf("C01  E02/E03 accumulator: column driver vs row driver\n");
   std::printf("gate: columnar >= 5x on E02 and E03, bit-exact results\n");
   std::printf("rows: %llu (FAILMINE_C01_ROWS to override)\n",
               static_cast<unsigned long long>(n));
@@ -177,13 +200,13 @@ void print_table() {
   std::vector<analysis::GroupStats> e03_row, e03_col;
 
   const double t_e02_row =
-      best_seconds(kReps, [&] { e02_row = core::exit_breakdown(rows, machine()); });
-  const double t_e02_col = best_seconds(
-      kReps, [&] { e02_col = columnar::exit_breakdown(table, machine()); });
+      best_seconds(kReps, [&] { e02_row = e02_rows(rows); });
+  const double t_e02_col =
+      best_seconds(kReps, [&] { e02_col = e02_columns(table); });
   const double t_e03_row =
-      best_seconds(kReps, [&] { e03_row = analysis::per_user_stats(rows, machine()); });
-  const double t_e03_col = best_seconds(
-      kReps, [&] { e03_col = columnar::per_user_stats(table, machine()); });
+      best_seconds(kReps, [&] { e03_row = e03_rows(rows); });
+  const double t_e03_col =
+      best_seconds(kReps, [&] { e03_col = e03_columns(table); });
 
   check_e02_parity(e02_row, e02_col);
   check_e03_parity(e03_row, e03_col);
@@ -207,7 +230,7 @@ void print_table() {
 void BM_ColumnarExitBreakdown(benchmark::State& state) {
   const columnar::JobTable& table = columnar_jobs();
   for (auto _ : state) {
-    core::ExitBreakdown b = columnar::exit_breakdown(table, machine());
+    core::ExitBreakdown b = e02_columns(table);
     benchmark::DoNotOptimize(b);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -218,8 +241,7 @@ BENCHMARK(BM_ColumnarExitBreakdown)->Unit(benchmark::kMillisecond);
 void BM_ColumnarPerUserStats(benchmark::State& state) {
   const columnar::JobTable& table = columnar_jobs();
   for (auto _ : state) {
-    std::vector<analysis::GroupStats> s =
-        columnar::per_user_stats(table, machine());
+    std::vector<analysis::GroupStats> s = e03_columns(table);
     benchmark::DoNotOptimize(s);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -45,7 +45,7 @@ namespace failmine::bench {
 /// Backend switch for the experiment benches: --columnar (stripped from
 /// argv by ObsSession before google-benchmark sees it) or
 /// FAILMINE_COLUMNAR=1 in the environment runs the shared analyses on
-/// the SoA tables and vectorized kernels instead of the row containers.
+/// the SoA tables instead of the row containers.
 inline bool& columnar_backend() {
   static bool enabled = [] {
     const char* env = std::getenv("FAILMINE_COLUMNAR");

@@ -86,7 +86,8 @@ endif()
 
 failmine_require_metrics("${metrics_json}"
   ${FAILMINE_STREAM_REQUIRED_GAUGES}
-  ${FAILMINE_STREAM_REQUIRED_HISTOGRAMS})
+  ${FAILMINE_STREAM_REQUIRED_HISTOGRAMS}
+  ${FAILMINE_GROUPBY_REQUIRED_COUNTERS})
 
 # The replay runs with --serve, so the server's pre-registered
 # self-metrics (request counters, latency histogram, profiler counters

@@ -88,6 +88,13 @@ set(FAILMINE_COLUMNAR_REQUIRED_COUNTERS
   columnar.timestamps_plain)
 set(FAILMINE_COLUMNAR_ROWS_COUNTER columnar.rows)
 
+# The dense-code group-by's fallback counter (src/analysis/accumulators.cpp):
+# every group-by sizing registers it and adds 1 when the key space is too
+# large for a dense array. The stream replay runs one per shard (E02 keyed
+# by exit class), so its export carries the counter, at 0.
+set(FAILMINE_GROUPBY_REQUIRED_COUNTERS
+  analysis.groupby_sparse)
+
 # Self-metrics the telemetry server pre-registers at start(), so any
 # replay run with --serve must have exported them (even all-zero): the
 # request totals, the request-latency histogram and the sampling

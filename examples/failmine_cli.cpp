@@ -4,9 +4,9 @@
 //   simulate --out DIR [--scale S] [--seed N] [--days D]
 //       generate a four-log dataset as CSV files
 //   summary  --data DIR [--columnar]
-//       dataset totals (E01); --columnar loads the SoA tables and runs
-//       the vectorized kernels instead of the row-oriented analyzer
-//       (identical output by the columnar parity contract)
+//       dataset totals (E01); --columnar loads the SoA tables and feeds
+//       the E01 accumulator from columns instead of rows (identical
+//       output: both backends run the same accumulator)
 //   report   --data DIR [--scale S]
 //       machine-checkable takeaway report against the paper's claims
 //   mtti     --data DIR [--window SEC] [--radius rack|midplane|board|card]
@@ -239,7 +239,7 @@ int cmd_simulate(const ArgMap& args) {
 int cmd_summary(const ArgMap& args) {
   // --columnar parses straight into the SoA tables and answers E01
   // through the columnar QueryEngine; the printed lines are identical
-  // to the row path by the kernel parity contract (columnar/analyses).
+  // to the row path, which feeds the same E01 accumulator from rows.
   core::DatasetSummary s;
   if (args.has("columnar")) {
     const auto machine = topology::MachineConfig::mira();

@@ -1,24 +1,18 @@
 #include "analysis/ras_breakdown.hpp"
 
+#include "analysis/accumulators.hpp"
 #include "obs/trace.hpp"
 
 namespace failmine::analysis {
 
-RasBreakdown ras_breakdown(const std::vector<raslog::RasEvent>& events) {
-  FAILMINE_TRACE_SPAN("e06.ras_breakdown");
-  RasBreakdown b;
-  b.total_events = events.size();
-  for (const auto& e : events) {
-    const auto sev = static_cast<std::size_t>(e.severity);
-    ++b.by_severity[sev];
-    ++b.by_component[e.component][sev];
-    ++b.by_category[e.category][sev];
-  }
-  return b;
-}
-
 RasBreakdown ras_breakdown(const raslog::RasLog& log) {
-  return ras_breakdown(log.events());
+  FAILMINE_TRACE_SPAN("e06.ras_breakdown");
+  RasCounts counts;
+  for (const auto& e : log.events())
+    counts.add(static_cast<std::uint8_t>(e.severity),
+               static_cast<std::uint8_t>(e.component),
+               static_cast<std::uint8_t>(e.category));
+  return counts.finalize();
 }
 
 }  // namespace failmine::analysis

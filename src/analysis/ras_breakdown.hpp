@@ -2,8 +2,8 @@
 //
 // RAS event counts by severity, component and category (experiment
 // E06, takeaway T-D: the raw stream is INFO-dominated with a thin FATAL
-// tail concentrated in a few components). Extracted from the E06 bench
-// formatter so the row and columnar backends share one result type.
+// tail concentrated in a few components). Both backends compute it
+// with analysis::RasCounts (accumulators.hpp).
 
 #pragma once
 
@@ -31,10 +31,7 @@ struct RasBreakdown {
   std::map<raslog::Category, SeverityCounts> by_category;
 };
 
-/// One pass over the events (time order).
-RasBreakdown ras_breakdown(const std::vector<raslog::RasEvent>& events);
-
-/// Container convenience overload.
+/// One pass over the events.
 RasBreakdown ras_breakdown(const raslog::RasLog& log);
 
 }  // namespace failmine::analysis

@@ -2,81 +2,69 @@
 
 #include <algorithm>
 
+#include "analysis/accumulators.hpp"
 #include "obs/trace.hpp"
 
 namespace failmine::analysis {
 
+namespace {
+
+using Bucket = TimeProfile::Bucket;
+
+/// Feeds time_of(r) of every record `keep` selects to one profile.
+template <typename Records, typename TimeOf, typename Keep>
+TimeProfile tally(const Records& records, Bucket bucket,
+                  util::UnixSeconds origin, TimeOf time_of, Keep keep) {
+  TimeProfile p(bucket, origin);
+  for (const auto& r : records)
+    if (keep(r)) p.add(time_of(r));
+  return p;
+}
+
+const auto kSubmit = [](const joblog::JobRecord& j) { return j.submit_time; };
+const auto kEnd = [](const joblog::JobRecord& j) { return j.end_time; };
+const auto kAt = [](const raslog::RasEvent& e) { return e.timestamp; };
+const auto kAll = [](const auto&) { return true; };
+const auto kFailed = [](const joblog::JobRecord& j) { return j.failed(); };
+const auto kFatal = [](const raslog::RasEvent& e) {
+  return e.severity == raslog::Severity::kFatal;
+};
+
+}  // namespace
+
 HourlyProfile submissions_by_hour(const joblog::JobLog& log) {
   FAILMINE_TRACE_SPAN("e11.temporal.submissions_by_hour");
-  HourlyProfile p{};
-  for (const auto& j : log.jobs())
-    ++p[static_cast<std::size_t>(util::hour_of_day(j.submit_time))];
-  return p;
+  return tally(log.jobs(), Bucket::kHourOfDay, 0, kSubmit, kAll).hourly();
 }
 
 WeekdayProfile submissions_by_weekday(const joblog::JobLog& log) {
   FAILMINE_TRACE_SPAN("e11.temporal.submissions_by_weekday");
-  WeekdayProfile p{};
-  for (const auto& j : log.jobs())
-    ++p[static_cast<std::size_t>(util::day_of_week(j.submit_time))];
-  return p;
+  return tally(log.jobs(), Bucket::kDayOfWeek, 0, kSubmit, kAll).weekly();
 }
 
 HourlyProfile failures_by_hour(const joblog::JobLog& log) {
   FAILMINE_TRACE_SPAN("e11.temporal.failures_by_hour");
-  HourlyProfile p{};
-  for (const auto& j : log.jobs())
-    if (j.failed()) ++p[static_cast<std::size_t>(util::hour_of_day(j.end_time))];
-  return p;
+  return tally(log.jobs(), Bucket::kHourOfDay, 0, kEnd, kFailed).hourly();
 }
 
 HourlyProfile events_by_hour(const raslog::RasLog& log) {
   FAILMINE_TRACE_SPAN("e11.temporal.events_by_hour");
-  HourlyProfile p{};
-  for (const auto& e : log.events())
-    ++p[static_cast<std::size_t>(util::hour_of_day(e.timestamp))];
-  return p;
+  return tally(log.events(), Bucket::kHourOfDay, 0, kAt, kAll).hourly();
 }
-
-namespace {
-
-template <typename Records, typename TimeOf, typename Keep>
-std::vector<std::uint64_t> monthly_series(const Records& records,
-                                          util::UnixSeconds origin,
-                                          TimeOf time_of, Keep keep) {
-  std::vector<std::uint64_t> series;
-  for (const auto& r : records) {
-    if (!keep(r)) continue;
-    const int idx = util::month_index(origin, time_of(r));
-    if (idx < 0) continue;
-    if (static_cast<std::size_t>(idx) >= series.size())
-      series.resize(static_cast<std::size_t>(idx) + 1, 0);
-    ++series[static_cast<std::size_t>(idx)];
-  }
-  return series;
-}
-
-}  // namespace
 
 std::vector<std::uint64_t> monthly_submissions(const joblog::JobLog& log,
                                                util::UnixSeconds origin) {
-  return monthly_series(
-      log.jobs(), origin, [](const auto& j) { return j.submit_time; },
-      [](const auto&) { return true; });
+  return tally(log.jobs(), Bucket::kMonth, origin, kSubmit, kAll).finalize();
 }
 
 std::vector<std::uint64_t> monthly_failures(const joblog::JobLog& log,
                                             util::UnixSeconds origin) {
-  return monthly_series(
-      log.jobs(), origin, [](const auto& j) { return j.end_time; },
-      [](const auto& j) { return j.failed(); });
+  return tally(log.jobs(), Bucket::kMonth, origin, kEnd, kFailed).finalize();
 }
 
 std::vector<std::uint64_t> monthly_fatal_events(const raslog::RasLog& log,
                                                 util::UnixSeconds origin) {
-  return monthly_series(
-      log.events(), origin, [](const auto& e) { return e.timestamp; },
-      [](const auto& e) { return e.severity == raslog::Severity::kFatal; });
+  return tally(log.events(), Bucket::kMonth, origin, kAt, kFatal).finalize();
 }
 
 double peak_to_trough(const HourlyProfile& profile) {

@@ -1,68 +1,22 @@
 #include "analysis/user_stats.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
+#include "analysis/accumulators.hpp"
 #include "obs/trace.hpp"
 #include "stats/concentration.hpp"
 #include "util/error.hpp"
 
 namespace failmine::analysis {
 
-namespace {
-
-template <typename KeyOf>
-std::vector<GroupStats> aggregate(const std::vector<joblog::JobRecord>& jobs,
-                                  const topology::MachineConfig& machine,
-                                  KeyOf key_of) {
-  std::unordered_map<std::uint32_t, GroupStats> by_key;
-  for (const auto& job : jobs) {
-    GroupStats& g = by_key[key_of(job)];
-    g.group_id = key_of(job);
-    ++g.jobs;
-    const double ch = job.core_hours(machine);
-    g.core_hours += ch;
-    if (job.failed()) {
-      ++g.failures;
-      g.failed_core_hours += ch;
-      if (joblog::is_user_caused(job.exit_class)) ++g.user_caused_failures;
-      if (joblog::is_system_caused(job.exit_class)) ++g.system_caused_failures;
-    }
-  }
-  std::vector<GroupStats> out;
-  out.reserve(by_key.size());
-  for (const auto& [id, g] : by_key) out.push_back(g);
-  std::sort(out.begin(), out.end(), [](const GroupStats& a, const GroupStats& b) {
-    return a.group_id < b.group_id;
-  });
-  return out;
-}
-
-}  // namespace
-
 std::vector<GroupStats> per_user_stats(const joblog::JobLog& log,
                                        const topology::MachineConfig& machine) {
-  return per_user_stats(log.jobs(), machine);
+  FAILMINE_TRACE_SPAN("e03.user_stats.per_user");
+  return group_jobs(log.jobs(), JobKey::kUser, machine).finalize();
 }
 
 std::vector<GroupStats> per_project_stats(const joblog::JobLog& log,
                                           const topology::MachineConfig& machine) {
-  return per_project_stats(log.jobs(), machine);
-}
-
-std::vector<GroupStats> per_user_stats(const std::vector<joblog::JobRecord>& jobs,
-                                       const topology::MachineConfig& machine) {
-  FAILMINE_TRACE_SPAN("e03.user_stats.per_user");
-  return aggregate(jobs, machine,
-                   [](const joblog::JobRecord& j) { return j.user_id; });
-}
-
-std::vector<GroupStats> per_project_stats(
-    const std::vector<joblog::JobRecord>& jobs,
-    const topology::MachineConfig& machine) {
   FAILMINE_TRACE_SPAN("e03.user_stats.per_project");
-  return aggregate(jobs, machine,
-                   [](const joblog::JobRecord& j) { return j.project_id; });
+  return group_jobs(log.jobs(), JobKey::kProject, machine).finalize();
 }
 
 std::vector<double> metric_column(const std::vector<GroupStats>& stats,

@@ -29,22 +29,15 @@ struct GroupStats {
   }
 };
 
-/// Per-user stats, keyed by user id, one entry per user seen in the log.
+/// Per-user stats, keyed by user id, one entry per user seen in the log:
+/// analysis::JobGroups (accumulators.hpp) keyed by user, the E03
+/// accumulator the columnar backend runs too.
 std::vector<GroupStats> per_user_stats(const joblog::JobLog& log,
                                        const topology::MachineConfig& machine);
 
 /// Per-project stats.
 std::vector<GroupStats> per_project_stats(const joblog::JobLog& log,
                                           const topology::MachineConfig& machine);
-
-/// Record-vector overloads (time order expected): identical results to
-/// the JobLog versions without building the container index — shared by
-/// the row-path benches and the columnar parity tests.
-std::vector<GroupStats> per_user_stats(const std::vector<joblog::JobRecord>& jobs,
-                                       const topology::MachineConfig& machine);
-std::vector<GroupStats> per_project_stats(
-    const std::vector<joblog::JobRecord>& jobs,
-    const topology::MachineConfig& machine);
 
 /// Concentration summary of a stats vector with respect to a metric.
 struct ConcentrationSummary {

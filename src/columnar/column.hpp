@@ -11,8 +11,8 @@
 //
 // While building, values accumulate in the plain representation;
 // sequential reads go through for_each(), which decodes deltas with one
-// running add per row (an autovectorizable prefix walk the group-by
-// kernels fuse into their scan loops).
+// running add per row (an autovectorizable prefix walk the column
+// drivers fuse into their scan loops).
 
 #pragma once
 

@@ -4,8 +4,8 @@
 //
 // A Dictionary maps distinct strings to dense uint32 codes in first-seen
 // order. Columnar tables store the codes (4 bytes per row) and keep one
-// Dictionary per string column; group-bys over the column become dense
-// histogram kernels over the codes (columnar/kernels.hpp).
+// Dictionary per string column; a group-by over the column becomes a
+// dense group-by over the codes (analysis/group_by.hpp).
 //
 // Index: the entries live once, in code order, in names_. The lookup
 // index is a flat open-addressing table (linear probing, power-of-two

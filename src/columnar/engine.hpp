@@ -4,8 +4,11 @@
 //
 // A QueryEngine borrows either the four AoS logs (row backend) or a
 // ColumnarDataset (columnar backend) and exposes the shared analyses —
-// E01/E02/E03/E06/E11 — with identical result types and, by the
-// kernel contracts in columnar/analyses.hpp, bit-identical results.
+// E01/E02/E03/E06/E11 — with identical result types. Both backends are
+// thin drivers of the same accumulators (analysis/accumulators.hpp):
+// the row branch feeds them from records, the columnar branch from the
+// few columns an analysis reads (E02 reads 9 bytes per job, E06 3 code
+// bytes per event), so the answers are bit-identical by construction.
 // The CLI and the benches pick the backend with --columnar; everything
 // downstream of the engine is representation-agnostic.
 
@@ -14,9 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/ras_breakdown.hpp"
-#include "analysis/temporal.hpp"
-#include "analysis/user_stats.hpp"
+#include "analysis/accumulators.hpp"
 #include "columnar/table.hpp"
 #include "core/joint_analyzer.hpp"
 #include "iolog/io_record.hpp"
@@ -27,6 +28,11 @@
 #include "util/time.hpp"
 
 namespace failmine::columnar {
+
+/// Column driver of E02/E03: one scan of the job table keyed by `key` —
+/// the same JobGroups accumulator analysis::group_jobs feeds from rows.
+analysis::JobGroups group_jobs(const JobTable& jobs, analysis::JobKey key,
+                               const topology::MachineConfig& machine);
 
 class QueryEngine {
  public:

@@ -9,8 +9,9 @@
 // same order invariants as the AoS containers — jobs by (start_time,
 // job_id), RAS by (timestamp, record_id), tasks by (job_id, sequence),
 // I/O by job_id — so a forward column scan visits records in exactly the
-// order the row-path analyses do, which is what makes the columnar
-// analyses (columnar/analyses.hpp) bit-exact.
+// order the row-path analyses do, so the shared accumulators
+// (analysis/accumulators.hpp) see the same rows in the same order from
+// either representation.
 //
 // Timestamps are normalized at build time: a job stores start_time plus
 // u32 wait/runtime (submit = start - wait, end = start + runtime; the

@@ -1,7 +1,5 @@
 #include "core/joint_analyzer.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
 #include "stats/correlation.hpp"
 #include "util/error.hpp"
@@ -12,82 +10,72 @@ JointAnalyzer::JointAnalyzer(const joblog::JobLog& jobs,
                              const tasklog::TaskLog& tasks,
                              const raslog::RasLog& ras, const iolog::IoLog& io,
                              const topology::MachineConfig& machine)
-    : jobs_(jobs), tasks_(tasks), ras_(ras), io_(io), machine_(machine) {
+    : jobs_(jobs), tasks_(tasks), ras_(ras), io_(io), machine_(machine),
+      totals_(machine) {
   if (jobs.empty()) throw failmine::DomainError("JointAnalyzer needs jobs");
-  // One pass over the job log fixes the observation window for good; the
-  // accessors used to rescan the whole log on every call, which turned
-  // per-job loops calling them quadratic.
-  util::UnixSeconds lo = jobs_.jobs().front().submit_time;
-  util::UnixSeconds hi = jobs_.jobs().front().end_time;
-  for (const auto& j : jobs_.jobs()) {
-    lo = std::min(lo, j.submit_time);
-    hi = std::max(hi, j.end_time);
-  }
-  if (!ras_.empty()) {
-    lo = std::min(lo, ras_.events().front().timestamp);
-    hi = std::max(hi, ras_.events().back().timestamp + 1);
-  }
-  window_begin_ = lo;
-  window_end_ = hi;
+  // One pass over the logs fixes the E01 totals, observation window
+  // included, for good; the window accessors used to rescan the whole
+  // log on every call, which turned per-job loops calling them quadratic.
+  for (const auto& j : jobs_.jobs())
+    totals_.add_job(j.submit_time, j.end_time, j.nodes_used,
+                    j.runtime_seconds());
+  if (!ras_.empty())
+    totals_.add_events(ras_.severity_counts(),
+                       ras_.events().front().timestamp,
+                       ras_.events().back().timestamp);
+  totals_.tasks = tasks_.size();
+  totals_.io_records = io_.size();
+}
+
+DatasetSummary dataset_summary_of(const analysis::DatasetTotals& totals) {
+  if (totals.jobs == 0)
+    throw failmine::DomainError("dataset summary needs jobs");
+  DatasetSummary s;
+  s.span_days = static_cast<double>(totals.window.end - totals.window.begin) /
+                static_cast<double>(util::kSecondsPerDay);
+  s.jobs = totals.jobs;
+  s.tasks = totals.tasks;
+  s.ras_events = totals.ras_events;
+  s.ras_by_severity = totals.ras_by_severity;
+  s.io_records = totals.io_records;
+  s.total_core_hours = totals.total_core_hours;
+  return s;
 }
 
 DatasetSummary JointAnalyzer::dataset_summary() const {
   FAILMINE_TRACE_SPAN("e01.dataset_summary");
-  DatasetSummary s;
-  s.span_days = static_cast<double>(window_end() - window_begin()) /
-                static_cast<double>(util::kSecondsPerDay);
-  s.jobs = jobs_.size();
-  s.tasks = tasks_.size();
-  s.ras_events = ras_.size();
-  s.ras_by_severity = ras_.severity_counts();
-  s.io_records = io_.size();
-  s.total_core_hours = jobs_.total_core_hours(machine_);
-  return s;
+  return dataset_summary_of(totals_);
 }
 
-ExitBreakdown exit_breakdown(const std::vector<joblog::JobRecord>& jobs,
-                             const topology::MachineConfig& machine) {
+ExitBreakdown exit_breakdown_of(const analysis::JobGroups& by_exit_class) {
   ExitBreakdown b;
-  b.total_jobs = jobs.size();
-  std::map<joblog::ExitClass, ExitBreakdownRow> rows;
   std::uint64_t user_caused = 0;
   std::uint64_t system_caused = 0;
-  for (const auto& job : jobs) {
-    ExitBreakdownRow& row = rows[job.exit_class];
-    row.exit_class = job.exit_class;
-    ++row.jobs;
-    row.core_hours += job.core_hours(machine);
-    if (job.failed()) {
-      ++b.total_failures;
-      if (joblog::is_user_caused(job.exit_class)) ++user_caused;
-      if (joblog::is_system_caused(job.exit_class)) ++system_caused;
-    }
+  for (const analysis::GroupStats& g : by_exit_class.finalize()) {
+    b.rows.push_back({joblog::kAllExitClasses[g.group_id], g.jobs,
+                      g.core_hours});
+    b.total_jobs += g.jobs;
+    b.total_failures += g.failures;
+    user_caused += g.user_caused_failures;
+    system_caused += g.system_caused_failures;
   }
-  for (joblog::ExitClass cls : joblog::kAllExitClasses) {
-    const auto it = rows.find(cls);
-    if (it == rows.end()) continue;
-    ExitBreakdownRow row = it->second;
-    row.share_of_jobs =
-        static_cast<double>(row.jobs) / static_cast<double>(b.total_jobs);
-    row.share_of_failures =
-        joblog::is_failure(cls) && b.total_failures > 0
-            ? static_cast<double>(row.jobs) /
-                  static_cast<double>(b.total_failures)
-            : 0.0;
-    b.rows.push_back(row);
+  const auto share = [](std::uint64_t n, std::uint64_t of) {
+    return of > 0 ? static_cast<double>(n) / static_cast<double>(of) : 0.0;
+  };
+  for (ExitBreakdownRow& row : b.rows) {
+    row.share_of_jobs = share(row.jobs, b.total_jobs);
+    if (joblog::is_failure(row.exit_class))
+      row.share_of_failures = share(row.jobs, b.total_failures);
   }
-  if (b.total_failures > 0) {
-    b.user_caused_share = static_cast<double>(user_caused) /
-                          static_cast<double>(b.total_failures);
-    b.system_caused_share = static_cast<double>(system_caused) /
-                            static_cast<double>(b.total_failures);
-  }
+  b.user_caused_share = share(user_caused, b.total_failures);
+  b.system_caused_share = share(system_caused, b.total_failures);
   return b;
 }
 
 ExitBreakdown JointAnalyzer::exit_breakdown() const {
   FAILMINE_TRACE_SPAN("e02.exit_breakdown");
-  return core::exit_breakdown(jobs_.jobs(), machine_);
+  return exit_breakdown_of(analysis::group_jobs(
+      jobs_.jobs(), analysis::JobKey::kExitClass, machine_));
 }
 
 std::vector<ClassFitRow> JointAnalyzer::runtime_distribution_study(

@@ -10,10 +10,10 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "analysis/accumulators.hpp"
 #include "core/attribution.hpp"
 #include "core/distfit_study.hpp"
 #include "core/event_filter.hpp"
@@ -44,12 +44,10 @@ struct ExitBreakdown {
   double system_caused_share = 0.0;  ///< of failures
 };
 
-/// E02 over a plain record vector (time order): what
-/// JointAnalyzer::exit_breakdown computes, without needing the JobLog
-/// container — shared by the row-path benches and the columnar parity
-/// tests.
-ExitBreakdown exit_breakdown(const std::vector<joblog::JobRecord>& jobs,
-                             const topology::MachineConfig& machine);
+/// E02's finalizer: the breakdown of a job group-by keyed by exit class
+/// (analysis::group_jobs / columnar::group_jobs with JobKey::kExitClass,
+/// or merged stream shards).
+ExitBreakdown exit_breakdown_of(const analysis::JobGroups& by_exit_class);
 
 /// Dataset summary (experiment E01).
 struct DatasetSummary {
@@ -61,6 +59,9 @@ struct DatasetSummary {
   std::uint64_t io_records = 0;
   double total_core_hours = 0.0;
 };
+
+/// E01's finalizer. Throws DomainError when no job was added.
+DatasetSummary dataset_summary_of(const analysis::DatasetTotals& totals);
 
 class JointAnalyzer {
  public:
@@ -97,8 +98,8 @@ class JointAnalyzer {
   /// Observation window inferred from the job and RAS logs. Computed once
   /// at construction (the logs are immutable for the analyzer's lifetime)
   /// — these are O(1) accessors, safe to call in per-job loops.
-  util::UnixSeconds window_begin() const { return window_begin_; }
-  util::UnixSeconds window_end() const { return window_end_; }
+  util::UnixSeconds window_begin() const { return totals_.window.begin; }
+  util::UnixSeconds window_end() const { return totals_.window.end; }
 
   const topology::MachineConfig& machine() const { return machine_; }
   const joblog::JobLog& jobs() const { return jobs_; }
@@ -114,8 +115,7 @@ class JointAnalyzer {
   // By value: MachineConfig is a handful of ints, and holding a reference
   // would silently dangle when callers pass MachineConfig::mira() inline.
   topology::MachineConfig machine_;
-  util::UnixSeconds window_begin_ = 0;
-  util::UnixSeconds window_end_ = 0;
+  analysis::DatasetTotals totals_;  ///< E01, observation window included
 };
 
 }  // namespace failmine::core

@@ -74,8 +74,8 @@ void parse_row_into(const Row& row, IoRecord& r) {
   r.bytes_written = util::parse_uint(row[2]);
   r.read_time_seconds = util::parse_double(row[3]);
   r.write_time_seconds = util::parse_double(row[4]);
-  r.files_accessed = static_cast<std::uint32_t>(util::parse_uint(row[5]));
-  r.ranks_doing_io = static_cast<std::uint32_t>(util::parse_uint(row[6]));
+  r.files_accessed = util::parse_u32(row[5]);
+  r.ranks_doing_io = util::parse_u32(row[6]);
 }
 
 template <class Row>

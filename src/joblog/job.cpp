@@ -12,9 +12,8 @@
 namespace failmine::joblog {
 
 double JobRecord::core_hours(const topology::MachineConfig& config) const {
-  return static_cast<double>(nodes_used) *
-         static_cast<double>(config.cores_per_node) *
-         (static_cast<double>(runtime_seconds()) / 3600.0);
+  return job_core_hours(nodes_used, static_cast<double>(config.cores_per_node),
+                        runtime_seconds());
 }
 
 topology::Partition JobRecord::partition(
@@ -118,19 +117,19 @@ namespace {
 template <class Row>
 void parse_row_into(const Row& row, JobRecord& j) {
   j.job_id = util::parse_uint(row[0]);
-  j.user_id = static_cast<std::uint32_t>(util::parse_uint(row[1]));
-  j.project_id = static_cast<std::uint32_t>(util::parse_uint(row[2]));
+  j.user_id = util::parse_u32(row[1]);
+  j.project_id = util::parse_u32(row[2]);
   j.queue = std::string_view(row[3]);
   j.submit_time = util::parse_timestamp(row[4]);
   j.start_time = util::parse_timestamp(row[5]);
   j.end_time = util::parse_timestamp(row[6]);
-  j.nodes_used = static_cast<std::uint32_t>(util::parse_uint(row[7]));
-  j.task_count = static_cast<std::uint32_t>(util::parse_uint(row[8]));
+  j.nodes_used = util::parse_u32(row[7]);
+  j.task_count = util::parse_u32(row[8]);
   j.requested_walltime = util::parse_int(row[9]);
-  j.exit_code = static_cast<int>(util::parse_int(row[10]));
-  j.exit_signal = static_cast<int>(util::parse_int(row[11]));
+  j.exit_code = util::parse_i32(row[10]);
+  j.exit_signal = util::parse_i32(row[11]);
   j.exit_class = exit_class_from_name(row[12]);
-  j.partition_first_midplane = static_cast<int>(util::parse_int(row[13]));
+  j.partition_first_midplane = util::parse_i32(row[13]);
   if (j.end_time < j.start_time)
     throw failmine::ParseError("job " + std::string(row[0]) +
                                " ends before it starts");

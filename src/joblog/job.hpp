@@ -22,6 +22,14 @@ class FieldVec;
 
 namespace failmine::joblog {
 
+/// Core-hours of a job (nodes * cores/node * hours): the one expression
+/// every core-hour sum uses, whatever the record representation.
+inline double job_core_hours(std::uint32_t nodes_used, double cores_per_node,
+                             std::int64_t runtime_seconds) {
+  return static_cast<double>(nodes_used) * cores_per_node *
+         (static_cast<double>(runtime_seconds) / 3600.0);
+}
+
 /// One record from the job scheduling log.
 struct JobRecord {
   std::uint64_t job_id = 0;

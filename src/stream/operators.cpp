@@ -17,73 +17,7 @@ obs::Counter& interruptions_opened_counter() {
   return counter;
 }
 
-std::size_t class_index(joblog::ExitClass cls) {
-  for (std::size_t i = 0; i < std::size(joblog::kAllExitClasses); ++i)
-    if (joblog::kAllExitClasses[i] == cls) return i;
-  throw failmine::DomainError("unknown exit class");
-}
-
 }  // namespace
-
-// ---- ExitBreakdownAccumulator ----------------------------------------
-
-void ExitBreakdownAccumulator::add(const joblog::JobRecord& job,
-                                   const topology::MachineConfig& machine) {
-  const std::size_t idx = class_index(job.exit_class);
-  ++jobs_[idx];
-  core_hours_[idx] += job.core_hours(machine);
-  ++total_jobs_;
-  if (job.failed()) {
-    ++total_failures_;
-    if (joblog::is_user_caused(job.exit_class)) ++user_caused_;
-    if (joblog::is_system_caused(job.exit_class)) ++system_caused_;
-  }
-}
-
-void ExitBreakdownAccumulator::merge(const ExitBreakdownAccumulator& other) {
-  for (std::size_t i = 0; i < kClasses; ++i) {
-    jobs_[i] += other.jobs_[i];
-    core_hours_[i] += other.core_hours_[i];
-  }
-  total_jobs_ += other.total_jobs_;
-  total_failures_ += other.total_failures_;
-  user_caused_ += other.user_caused_;
-  system_caused_ += other.system_caused_;
-}
-
-core::ExitBreakdown ExitBreakdownAccumulator::finalize() const {
-  core::ExitBreakdown b;
-  b.total_jobs = total_jobs_;
-  b.total_failures = total_failures_;
-  for (std::size_t i = 0; i < kClasses; ++i) {
-    if (jobs_[i] == 0) continue;
-    core::ExitBreakdownRow row;
-    row.exit_class = joblog::kAllExitClasses[i];
-    row.jobs = jobs_[i];
-    row.core_hours = core_hours_[i];
-    row.share_of_jobs =
-        static_cast<double>(row.jobs) / static_cast<double>(total_jobs_);
-    row.share_of_failures =
-        joblog::is_failure(row.exit_class) && total_failures_ > 0
-            ? static_cast<double>(row.jobs) /
-                  static_cast<double>(total_failures_)
-            : 0.0;
-    b.rows.push_back(row);
-  }
-  if (total_failures_ > 0) {
-    b.user_caused_share = static_cast<double>(user_caused_) /
-                          static_cast<double>(total_failures_);
-    b.system_caused_share = static_cast<double>(system_caused_) /
-                            static_cast<double>(total_failures_);
-  }
-  return b;
-}
-
-double ExitBreakdownAccumulator::total_core_hours() const {
-  double total = 0.0;
-  for (double h : core_hours_) total += h;
-  return total;
-}
 
 // ---- StreamingInterruptions ------------------------------------------
 
@@ -149,6 +83,7 @@ ShardAggregates::ShardAggregates(const topology::MachineConfig& machine_config,
                                  double quantile_epsilon,
                                  std::size_t heavy_hitter_capacity)
     : machine(machine_config),
+      exits(machine_config, analysis::JobKey::kExitClass),
       runtime_sketch(quantile_epsilon),
       users_by_failures(heavy_hitter_capacity),
       projects_by_failures(heavy_hitter_capacity),
@@ -159,7 +94,7 @@ void ShardAggregates::apply(const StreamRecord& record) {
   switch (record.source()) {
     case RecordSource::kJob: {
       const auto& job = std::get<joblog::JobRecord>(record.payload);
-      exits.add(job, machine);
+      exits.add(analysis::JobFacts::of(job, analysis::JobKey::kExitClass));
       runtime_sketch.insert(static_cast<double>(job.runtime_seconds()));
       if (job.failed()) {
         users_by_failures.add(job.user_id);

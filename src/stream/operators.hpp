@@ -11,9 +11,11 @@
 //    and heavy-hitter sketches, severity totals) run sharded — each shard
 //    owns a ShardAggregates updated from its partition of the stream, and
 //    snapshots merge the partials.
-// Batch/stream parity anchors correctness: on the same trace the
-// streaming exit breakdown and interruption count equal the
-// JointAnalyzer's batch results exactly; sketched statistics carry
+// The exit breakdown is the batch E02 accumulator (analysis::JobGroups
+// keyed by exit class), so its counts and shares equal the batch answer
+// exactly; per-class core-hours may differ in the last bits, because
+// merging shard partials reorders the f64 sums. The interruption count
+// equals the batch filter's exactly too; sketched statistics carry
 // documented error bounds instead.
 
 #pragma once
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/accumulators.hpp"
 #include "core/event_filter.hpp"
 #include "core/joint_analyzer.hpp"
 #include "core/mtti.hpp"
@@ -34,31 +37,6 @@
 #include "topology/machine.hpp"
 
 namespace failmine::stream {
-
-/// Streaming E02: per-exit-class job and core-hour totals. Pure counting,
-/// so shard partials merge into the exact batch answer.
-class ExitBreakdownAccumulator {
- public:
-  void add(const joblog::JobRecord& job, const topology::MachineConfig& machine);
-  void merge(const ExitBreakdownAccumulator& other);
-
-  /// Same row structure, ordering and share conventions as
-  /// JointAnalyzer::exit_breakdown().
-  core::ExitBreakdown finalize() const;
-
-  std::uint64_t total_jobs() const { return total_jobs_; }
-  std::uint64_t total_failures() const { return total_failures_; }
-  double total_core_hours() const;
-
- private:
-  static constexpr std::size_t kClasses = std::size(joblog::kAllExitClasses);
-  std::array<std::uint64_t, kClasses> jobs_{};
-  std::array<double, kClasses> core_hours_{};
-  std::uint64_t total_jobs_ = 0;
-  std::uint64_t total_failures_ = 0;
-  std::uint64_t user_caused_ = 0;
-  std::uint64_t system_caused_ = 0;
-};
 
 /// A trailing-window counter ring: counts bucketed by absolute bucket
 /// index (event_time / bucket_seconds), so expiry needs no per-record
@@ -164,7 +142,7 @@ struct ShardAggregates {
 
   topology::MachineConfig machine;
   std::array<std::uint64_t, kRecordSourceCount> records_by_source{};
-  ExitBreakdownAccumulator exits;
+  analysis::JobGroups exits;                 ///< E02, keyed by exit class
   GkQuantileSketch runtime_sketch;           ///< job runtimes, seconds
   SpaceSavingSketch users_by_failures;       ///< streaming E03
   SpaceSavingSketch projects_by_failures;

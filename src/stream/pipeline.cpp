@@ -169,28 +169,14 @@ void StreamPipeline::route_ordered(
   switch (record.source()) {
     case RecordSource::kJob: {
       const auto& job = std::get<joblog::JobRecord>(record.payload);
-      if (!router_.any_event) {
-        router_.window_begin = job.submit_time;
-        router_.window_end = job.end_time;
-        router_.any_event = true;
-      } else {
-        router_.window_begin = std::min(router_.window_begin, job.submit_time);
-        router_.window_end = std::max(router_.window_end, job.end_time);
-      }
+      router_.window.add_job(job.submit_time, job.end_time);
       router_.job_window.add(record.time, 0);
       if (job.failed()) router_.job_window.add(record.time, 1);
       break;
     }
     case RecordSource::kRas: {
       const auto& event = std::get<raslog::RasEvent>(record.payload);
-      if (!router_.any_event) {
-        router_.window_begin = event.timestamp;
-        router_.window_end = event.timestamp + 1;
-        router_.any_event = true;
-      } else {
-        router_.window_begin = std::min(router_.window_begin, event.timestamp);
-        router_.window_end = std::max(router_.window_end, event.timestamp + 1);
-      }
+      router_.window.add_event(event.timestamp);
       router_.severity_window.add(record.time,
                                   static_cast<std::size_t>(event.severity));
       router_.interruptions.add(event);
@@ -429,8 +415,10 @@ StreamSnapshot StreamPipeline::snapshot() const {
     snap.records_late = router_.late_records;
     snap.watermark = router_.watermark;
     snap.watermark_lag_seconds = router_.watermark_lag_seconds;
-    snap.window_begin = router_.window_begin;
-    snap.window_end = router_.window_end;
+    if (!router_.window.empty()) {
+      snap.window_begin = router_.window.begin;
+      snap.window_end = router_.window.end;
+    }
 
     const auto jobs = router_.job_window.totals(router_.newest_seen);
     snap.window_seconds = router_.job_window.window_seconds();
@@ -443,15 +431,16 @@ StreamSnapshot StreamPipeline::snapshot() const {
 
     snap.fatal_input_events = router_.interruptions.input_events();
     snap.interruptions = router_.interruptions.interruptions();
-    if (router_.any_event && snap.window_end > snap.window_begin)
+    if (!router_.window.empty() && snap.window_end > snap.window_begin)
       snap.mtti =
           router_.interruptions.mtti(snap.window_begin, snap.window_end);
   }
   snap.span_days = static_cast<double>(snap.window_end - snap.window_begin) /
                    static_cast<double>(util::kSecondsPerDay);
 
-  snap.exit_breakdown = merged.exits.finalize();
-  snap.total_core_hours = merged.exits.total_core_hours();
+  snap.exit_breakdown = core::exit_breakdown_of(merged.exits);
+  for (const core::ExitBreakdownRow& row : snap.exit_breakdown.rows)
+    snap.total_core_hours += row.core_hours;
   snap.severity_totals = merged.severity_totals;
   snap.task_failures = merged.task_failures;
   snap.io_bytes_total = merged.io_bytes_total;

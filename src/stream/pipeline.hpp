@@ -204,9 +204,7 @@ class StreamPipeline {
     StreamingInterruptions interruptions;
     RollingWindow<2> job_window;       ///< [0]=jobs ended, [1]=failures
     RollingWindow<3> severity_window;  ///< INFO / WARN / FATAL
-    util::UnixSeconds window_begin = 0;
-    util::UnixSeconds window_end = 0;
-    bool any_event = false;
+    analysis::ObservationWindow window;
     util::UnixSeconds newest_seen = 0;
     util::UnixSeconds watermark = 0;
     std::int64_t watermark_lag_seconds = 0;

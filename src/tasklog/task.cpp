@@ -75,13 +75,13 @@ template <class Row>
 void parse_row_into(const Row& row, TaskRecord& t) {
   t.task_id = util::parse_uint(row[0]);
   t.job_id = util::parse_uint(row[1]);
-  t.sequence = static_cast<std::uint32_t>(util::parse_uint(row[2]));
+  t.sequence = util::parse_u32(row[2]);
   t.start_time = util::parse_timestamp(row[3]);
   t.end_time = util::parse_timestamp(row[4]);
-  t.nodes_used = static_cast<std::uint32_t>(util::parse_uint(row[5]));
-  t.ranks_per_node = static_cast<std::uint32_t>(util::parse_uint(row[6]));
-  t.exit_code = static_cast<int>(util::parse_int(row[7]));
-  t.exit_signal = static_cast<int>(util::parse_int(row[8]));
+  t.nodes_used = util::parse_u32(row[5]);
+  t.ranks_per_node = util::parse_u32(row[6]);
+  t.exit_code = util::parse_i32(row[7]);
+  t.exit_signal = util::parse_i32(row[8]);
   if (t.end_time < t.start_time)
     throw failmine::ParseError("task " + std::string(row[0]) +
                                " ends before it starts");

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 
 #include "util/error.hpp"
@@ -50,6 +51,22 @@ std::uint64_t parse_uint(std::string_view s) {
   if (ec != std::errc{} || ptr != s.data() + s.size())
     throw ParseError("not an unsigned integer: '" + std::string(s) + "'");
   return value;
+}
+
+std::int32_t parse_i32(std::string_view s) {
+  const std::int64_t value = parse_int(s);
+  if (value < INT32_MIN || value > INT32_MAX)
+    throw ParseError("integer out of 32-bit range: '" +
+                     std::string(trim(s)) + "'");
+  return static_cast<std::int32_t>(value);
+}
+
+std::uint32_t parse_u32(std::string_view s) {
+  const std::uint64_t value = parse_uint(s);
+  if (value > UINT32_MAX)
+    throw ParseError("unsigned integer out of 32-bit range: '" +
+                     std::string(trim(s)) + "'");
+  return static_cast<std::uint32_t>(value);
 }
 
 double parse_double(std::string_view s) {

@@ -26,6 +26,11 @@ std::int64_t parse_int(std::string_view s);
 /// Parses an unsigned 64-bit integer; throws ParseError on junk or sign.
 std::uint64_t parse_uint(std::string_view s);
 
+/// parse_int / parse_uint narrowed to 32 bits: a value outside the
+/// int32 / uint32 range throws ParseError instead of wrapping.
+std::int32_t parse_i32(std::string_view s);
+std::uint32_t parse_u32(std::string_view s);
+
 /// Parses a double; throws ParseError on junk.
 double parse_double(std::string_view s);
 

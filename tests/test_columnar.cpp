@@ -1,5 +1,5 @@
 // Unit tests for the columnar record store: dictionary encoding and
-// chunk merge, bitmap index, delta timestamp column, scan kernels, and
+// chunk merge, bitmap index, delta timestamp column, and
 // the builders' deterministic chunk-order merge (including a threaded
 // build and the threaded RAS merge, which is what the TSan CI job
 // exercises).
@@ -17,7 +17,6 @@
 #include "columnar/builder.hpp"
 #include "columnar/column.hpp"
 #include "columnar/dictionary.hpp"
-#include "columnar/kernels.hpp"
 #include "columnar/table.hpp"
 #include "obs/metrics.hpp"
 #include "sim/synthetic.hpp"
@@ -197,38 +196,6 @@ TEST(ColumnarTimestamp, FallsBackToPlainOnHugeStep) {
   c.seal();
   EXPECT_FALSE(c.delta_encoded());
   EXPECT_EQ(c.back(), static_cast<util::UnixSeconds>(UINT32_MAX) + 1);
-}
-
-TEST(ColumnarKernels, CountByKeyHandlesTailRows) {
-  // 7 rows: exercises the 4-way unrolled body plus a 3-row tail.
-  const std::vector<std::uint8_t> keys = {1, 0, 1, 2, 1, 2, 1};
-  const std::vector<std::uint64_t> counts = kernels::count_by_key(keys, 3);
-  EXPECT_EQ(counts, (std::vector<std::uint64_t>{1, 4, 2}));
-}
-
-TEST(ColumnarKernels, CountByKeyPairAndMasked) {
-  const std::vector<std::uint8_t> a = {0, 1, 1, 0};
-  const std::vector<std::uint8_t> b = {2, 0, 2, 2};
-  const std::vector<std::uint64_t> pair =
-      kernels::count_by_key_pair(a, 2, b, 3);
-  EXPECT_EQ(pair[0 * 3 + 2], 2u);
-  EXPECT_EQ(pair[1 * 3 + 0], 1u);
-  EXPECT_EQ(pair[1 * 3 + 2], 1u);
-
-  Bitmap mask(4);
-  mask.set(1);
-  mask.set(3);
-  const std::vector<std::uint64_t> masked =
-      kernels::count_by_key_masked(a, 2, mask);
-  EXPECT_EQ(masked, (std::vector<std::uint64_t>{1, 1}));
-}
-
-TEST(ColumnarKernels, SumByKeyAccumulatesInRowOrder) {
-  const std::vector<std::uint32_t> keys = {0, 1, 0};
-  const std::vector<double> sums = kernels::sum_by_key(
-      keys, 2, [](std::size_t i) { return static_cast<double>(i + 1); });
-  EXPECT_EQ(sums, (std::vector<double>{4.0, 2.0}));
-  EXPECT_EQ(kernels::max_u32(keys), 1u);
 }
 
 joblog::JobRecord make_job(std::uint64_t id, util::UnixSeconds start,

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "iolog/io_record.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace failmine::iolog {
@@ -90,6 +91,33 @@ TEST(IoLog, EmptyLog) {
   const IoLog log;
   EXPECT_TRUE(log.empty());
   EXPECT_FALSE(log.contains(1));
+}
+
+const std::vector<std::string> kValidRow = {"1", "100", "200", "0.5",
+                                            "0.25", "3", "16"};
+
+/// Parses a CSV row of kValidRow with field `field` set to `value`.
+IoRecord parse_with(std::size_t field, const std::string& value) {
+  std::vector<std::string> fields = kValidRow;
+  fields[field] = value;
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    line += (i > 0 ? "," : "") + fields[i];
+  util::FieldVec row;
+  util::split_csv_fields(line, row);
+  IoRecord out;
+  parse_csv_row(row, out);
+  return out;
+}
+
+TEST(IoCsvRow, ThirtyTwoBitFieldsRejectOverflowInsteadOfWrapping) {
+  // files accessed, ranks doing I/O
+  for (const std::size_t field : {5, 6}) {
+    SCOPED_TRACE(io_csv_header()[field]);
+    EXPECT_NO_THROW(parse_with(field, "4294967295"));
+    EXPECT_THROW(parse_with(field, "4294967296"), failmine::ParseError);
+  }
+  EXPECT_EQ(parse_with(5, "4294967295").files_accessed, UINT32_MAX);
 }
 
 }  // namespace

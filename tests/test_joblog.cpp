@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "joblog/job.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace failmine::joblog {
@@ -198,6 +199,43 @@ TEST_F(JobLogFile, ReadRejectsUnknownExitClass) {
            "1970-01-01 00:00:02,512,1,60,0,0,BOGUS,0\n";
   }
   EXPECT_THROW(JobLog::read_csv(path_), failmine::ParseError);
+}
+
+const std::vector<std::string> kValidRow = {
+    "1", "1", "2", "q", "1970-01-01 00:00:00", "1970-01-01 00:00:01",
+    "1970-01-01 00:00:02", "512", "1", "60", "0", "0", "SUCCESS", "0"};
+
+/// Parses a CSV row of kValidRow with field `field` set to `value`.
+JobRecord parse_with(std::size_t field, const std::string& value) {
+  std::vector<std::string> fields = kValidRow;
+  fields[field] = value;
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    line += (i > 0 ? "," : "") + fields[i];
+  util::FieldVec row;
+  util::split_csv_fields(line, row);
+  JobRecord out;
+  parse_csv_row(row, out);
+  return out;
+}
+
+TEST(JobCsvRow, ThirtyTwoBitFieldsRejectOverflowInsteadOfWrapping) {
+  // user, project, nodes, task count
+  for (const std::size_t field : {1, 2, 7, 8}) {
+    SCOPED_TRACE(job_csv_header()[field]);
+    EXPECT_NO_THROW(parse_with(field, "4294967295"));
+    EXPECT_THROW(parse_with(field, "4294967296"), failmine::ParseError);
+  }
+  // exit code, exit signal, partition
+  for (const std::size_t field : {10, 11, 13}) {
+    SCOPED_TRACE(job_csv_header()[field]);
+    EXPECT_NO_THROW(parse_with(field, "2147483647"));
+    EXPECT_NO_THROW(parse_with(field, "-2147483648"));
+    EXPECT_THROW(parse_with(field, "2147483648"), failmine::ParseError);
+    EXPECT_THROW(parse_with(field, "-2147483649"), failmine::ParseError);
+  }
+  EXPECT_EQ(parse_with(1, "4294967295").user_id, UINT32_MAX);
+  EXPECT_EQ(parse_with(10, "-2147483648").exit_code, INT32_MIN);
 }
 
 }  // namespace

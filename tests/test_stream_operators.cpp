@@ -1,6 +1,7 @@
 // Tests for the incremental streaming operators: rolling windows, the
-// streaming interruption clusterer (vs the batch filter), the exit
-// breakdown accumulator (vs the batch analyzer), and shard routing.
+// streaming interruption clusterer (vs the batch filter), and shard
+// routing. The shards' E02 partials are checked against a naive
+// reference in test_columnar_differential.cpp.
 
 #include "stream/operators.hpp"
 
@@ -105,40 +106,6 @@ TEST(StreamingInterruptions, MttiMatchesBatchOnSimulatedTrace) {
 TEST(StreamingInterruptions, EmptyWindowThrows) {
   StreamingInterruptions s{core::FilterConfig{}};
   EXPECT_THROW(s.mtti(10, 10), DomainError);
-}
-
-// ---- ExitBreakdownAccumulator vs batch analyzer -----------------------
-
-TEST(ExitBreakdown, ShardedAccumulationMatchesBatchExactly) {
-  const core::JointAnalyzer analyzer(trace().job_log, trace().task_log,
-                                     trace().ras_log, trace().io_log, kMira);
-  const core::ExitBreakdown batch = analyzer.exit_breakdown();
-
-  // Partition jobs across four accumulators by user hash (as the
-  // pipeline shards do), then merge.
-  std::vector<ExitBreakdownAccumulator> shards(4);
-  for (const auto& job : trace().job_log.jobs())
-    shards[mix64(job.user_id) % 4].add(job, kMira);
-  ExitBreakdownAccumulator merged;
-  for (const auto& s : shards) merged.merge(s);
-  const core::ExitBreakdown got = merged.finalize();
-
-  EXPECT_EQ(got.total_jobs, batch.total_jobs);
-  EXPECT_EQ(got.total_failures, batch.total_failures);
-  EXPECT_DOUBLE_EQ(got.user_caused_share, batch.user_caused_share);
-  EXPECT_DOUBLE_EQ(got.system_caused_share, batch.system_caused_share);
-  ASSERT_EQ(got.rows.size(), batch.rows.size());
-  for (std::size_t i = 0; i < got.rows.size(); ++i) {
-    EXPECT_EQ(got.rows[i].exit_class, batch.rows[i].exit_class);
-    EXPECT_EQ(got.rows[i].jobs, batch.rows[i].jobs);
-    EXPECT_DOUBLE_EQ(got.rows[i].share_of_jobs, batch.rows[i].share_of_jobs);
-    EXPECT_DOUBLE_EQ(got.rows[i].share_of_failures,
-                     batch.rows[i].share_of_failures);
-    // Core-hours are a float sum, so summation order across shards can
-    // differ from the batch loop in the last bits.
-    EXPECT_NEAR(got.rows[i].core_hours, batch.rows[i].core_hours,
-                1e-9 * std::max(1.0, batch.rows[i].core_hours));
-  }
 }
 
 // ---- shard routing and board keys -------------------------------------

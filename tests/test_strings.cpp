@@ -47,6 +47,16 @@ TEST(Strings, ParseUintRejectsNegative) {
   EXPECT_THROW(parse_uint("abc"), ParseError);
 }
 
+TEST(Strings, ThirtyTwoBitParsersRejectOutOfRange) {
+  EXPECT_EQ(parse_u32("4294967295"), UINT32_MAX);
+  EXPECT_THROW(parse_u32("4294967296"), failmine::ParseError);
+  EXPECT_THROW(parse_u32("-1"), failmine::ParseError);
+  EXPECT_EQ(parse_i32("2147483647"), INT32_MAX);
+  EXPECT_EQ(parse_i32("-2147483648"), INT32_MIN);
+  EXPECT_THROW(parse_i32("2147483648"), failmine::ParseError);
+  EXPECT_THROW(parse_i32("-2147483649"), failmine::ParseError);
+}
+
 TEST(Strings, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("2.5"), 2.5);
   EXPECT_DOUBLE_EQ(parse_double("-1e3"), -1000.0);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include "tasklog/task.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace failmine::tasklog {
@@ -96,6 +97,42 @@ TEST(TaskLog, EmptyLog) {
   const TaskLog log;
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.task_count(1), 0u);
+}
+
+const std::vector<std::string> kValidRow = {
+    "1", "10", "0", "1970-01-01 00:00:00", "1970-01-01 00:00:01", "512", "16",
+    "0", "0"};
+
+/// Parses a CSV row of kValidRow with field `field` set to `value`.
+TaskRecord parse_with(std::size_t field, const std::string& value) {
+  std::vector<std::string> fields = kValidRow;
+  fields[field] = value;
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    line += (i > 0 ? "," : "") + fields[i];
+  util::FieldVec row;
+  util::split_csv_fields(line, row);
+  TaskRecord out;
+  parse_csv_row(row, out);
+  return out;
+}
+
+TEST(TaskCsvRow, ThirtyTwoBitFieldsRejectOverflowInsteadOfWrapping) {
+  // sequence, nodes, ranks per node
+  for (const std::size_t field : {2, 5, 6}) {
+    SCOPED_TRACE(task_csv_header()[field]);
+    EXPECT_NO_THROW(parse_with(field, "4294967295"));
+    EXPECT_THROW(parse_with(field, "4294967296"), failmine::ParseError);
+  }
+  // exit code, exit signal
+  for (const std::size_t field : {7, 8}) {
+    SCOPED_TRACE(task_csv_header()[field]);
+    EXPECT_NO_THROW(parse_with(field, "2147483647"));
+    EXPECT_NO_THROW(parse_with(field, "-2147483648"));
+    EXPECT_THROW(parse_with(field, "2147483648"), failmine::ParseError);
+    EXPECT_THROW(parse_with(field, "-2147483649"), failmine::ParseError);
+  }
+  EXPECT_EQ(parse_with(2, "4294967295").sequence, UINT32_MAX);
 }
 
 }  // namespace
