@@ -2,8 +2,8 @@
 //
 // Dense bitmap index over row numbers: one bit per row, 64 rows per
 // word. The columnar tables precompute bitmaps for the hot predicates
-// (job failed, RAS severity) at seal time, so filters become word-wise
-// AND/popcount loops instead of per-row branches.
+// (job failed, RAS severity) at seal time, so a filter tests one bit per
+// row and a count is a popcount loop.
 
 #pragma once
 
@@ -11,8 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "util/error.hpp"
 
 namespace failmine::columnar {
 
@@ -40,29 +38,6 @@ class Bitmap {
     std::uint64_t total = 0;
     for (const std::uint64_t w : words_) total += std::popcount(w);
     return total;
-  }
-
-  /// Calls fn(row) for every set bit, ascending.
-  template <class Fn>
-  void for_each_set(Fn&& fn) const {
-    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
-      std::uint64_t w = words_[wi];
-      while (w != 0) {
-        const int bit = std::countr_zero(w);
-        fn(wi * 64 + static_cast<std::size_t>(bit));
-        w &= w - 1;
-      }
-    }
-  }
-
-  /// Bitwise AND of two same-sized bitmaps; throws DomainError otherwise.
-  static Bitmap logical_and(const Bitmap& a, const Bitmap& b) {
-    if (a.size_ != b.size_)
-      throw failmine::DomainError("bitmap size mismatch in logical_and");
-    Bitmap out(a.size_);
-    for (std::size_t i = 0; i < out.words_.size(); ++i)
-      out.words_[i] = a.words_[i] & b.words_[i];
-    return out;
   }
 
   const std::vector<std::uint64_t>& words() const { return words_; }

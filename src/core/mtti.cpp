@@ -6,11 +6,11 @@
 
 namespace failmine::core {
 
-namespace {
-
-MttiResult from_times(const std::vector<util::UnixSeconds>& times,
-                      util::UnixSeconds begin, util::UnixSeconds end) {
+MttiResult mtti_from_times(std::vector<util::UnixSeconds> times,
+                           util::UnixSeconds begin, util::UnixSeconds end) {
   if (end <= begin) throw failmine::DomainError("empty observation window");
+  std::erase_if(times,
+                [&](util::UnixSeconds t) { return t < begin || t >= end; });
   MttiResult r;
   r.span_days = static_cast<double>(end - begin) /
                 static_cast<double>(util::kSecondsPerDay);
@@ -30,16 +30,13 @@ MttiResult from_times(const std::vector<util::UnixSeconds>& times,
   return r;
 }
 
-}  // namespace
-
 MttiResult compute_mtti(const std::vector<EventCluster>& clusters,
                         util::UnixSeconds begin, util::UnixSeconds end) {
   FAILMINE_TRACE_SPAN("mtti.compute");
   std::vector<util::UnixSeconds> times;
   times.reserve(clusters.size());
-  for (const auto& c : clusters)
-    if (c.first_time >= begin && c.first_time < end) times.push_back(c.first_time);
-  return from_times(times, begin, end);
+  for (const auto& c : clusters) times.push_back(c.first_time);
+  return mtti_from_times(std::move(times), begin, end);
 }
 
 FilteredMtti filtered_mtti(const raslog::RasLog& log, const FilterConfig& config,
@@ -54,9 +51,8 @@ MttiResult raw_mtti(const raslog::RasLog& log, raslog::Severity severity,
                     util::UnixSeconds begin, util::UnixSeconds end) {
   std::vector<util::UnixSeconds> times;
   for (const auto& e : log.events())
-    if (e.severity == severity && e.timestamp >= begin && e.timestamp < end)
-      times.push_back(e.timestamp);
-  return from_times(times, begin, end);
+    if (e.severity == severity) times.push_back(e.timestamp);
+  return mtti_from_times(std::move(times), begin, end);
 }
 
 }  // namespace failmine::core

@@ -23,6 +23,13 @@ struct MttiResult {
   std::vector<double> intervals_days;  ///< consecutive interruption gaps
 };
 
+/// The one MTTI formula, over the ascending first-occurrence times of
+/// interruptions; times outside [begin, end) are dropped. A window with
+/// no interruption is censored: its MTTI is the whole span. Throws
+/// DomainError when end <= begin.
+MttiResult mtti_from_times(std::vector<util::UnixSeconds> times,
+                           util::UnixSeconds begin, util::UnixSeconds end);
+
 /// Computes MTTI from filtered clusters over [begin, end).
 MttiResult compute_mtti(const std::vector<EventCluster>& clusters,
                         util::UnixSeconds begin, util::UnixSeconds end);

@@ -68,23 +68,6 @@ std::vector<JobRecord> JobLog::failures() const {
   return out;
 }
 
-double JobLog::total_core_hours(const topology::MachineConfig& config) const {
-  double total = 0.0;
-  for (const auto& j : jobs_) total += j.core_hours(config);
-  return total;
-}
-
-double JobLog::span_days() const {
-  if (jobs_.empty()) return 0.0;
-  util::UnixSeconds lo = jobs_.front().submit_time;
-  util::UnixSeconds hi = jobs_.front().end_time;
-  for (const auto& j : jobs_) {
-    lo = std::min(lo, j.submit_time);
-    hi = std::max(hi, j.end_time);
-  }
-  return static_cast<double>(hi - lo) / static_cast<double>(util::kSecondsPerDay);
-}
-
 void JobLog::write_csv(const std::string& path) const {
   util::CsvWriter writer(path, job_csv_header());
   for (const auto& j : jobs_) {

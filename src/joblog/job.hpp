@@ -94,12 +94,6 @@ class JobLog {
   /// All failed jobs in time order.
   std::vector<JobRecord> failures() const;
 
-  /// Total core-hours over all jobs.
-  double total_core_hours(const topology::MachineConfig& config) const;
-
-  /// Observation span in days (first submit to last end).
-  double span_days() const;
-
   void write_csv(const std::string& path) const;
 
   /// Reads a log written by write_csv. Defaults to the parallel mmap

@@ -7,9 +7,9 @@
 // Dependency-free and in-process: every attached thread gets a POSIX
 // per-thread CPU-time timer (timer_create over pthread_getcpuclockid,
 // SIGEV_THREAD_ID) delivering SIGPROF at the configured frequency. The
-// async-signal-safe handler walks the frame-pointer chain (or glibc
-// backtrace() under FAILMINE_PROFILE_BACKTRACE) and appends the stack —
-// tagged with the innermost active obs::Span names (see
+// async-signal-safe handler walks the frame-pointer chain (or calls glibc
+// backtrace() when ProfileConfig::use_backtrace is set) and appends the
+// stack — tagged with the innermost active obs::Span names (see
 // trace.hpp/SpanLabelStack) and the thread's name — into a preallocated
 // lock-free sample ring. A full ring counts drops instead of blocking.
 // Symbolization (dladdr + demangling) happens offline at stop().
@@ -61,14 +61,8 @@ struct ProfileConfig {
   std::size_t max_samples = 1 << 15;
 
   /// Capture stacks with glibc backtrace() instead of the frame-pointer
-  /// walk. Defaults on when the build sets FAILMINE_PROFILE_BACKTRACE
-  /// (for toolchains that cannot keep frame pointers).
-  bool use_backtrace =
-#if defined(FAILMINE_PROFILE_BACKTRACE) && FAILMINE_PROFILE_BACKTRACE
-      true;
-#else
-      false;
-#endif
+  /// walk (for code built without frame pointers).
+  bool use_backtrace = false;
 };
 
 /// One unique collapsed stack ("thread;span:…;outer;…;leaf") and how

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/metrics.hpp"
-#include "stats/summary.hpp"
 #include "util/error.hpp"
 
 namespace failmine::stream {
@@ -53,28 +52,7 @@ void StreamingInterruptions::add(const raslog::RasEvent& event) {
 
 core::MttiResult StreamingInterruptions::mtti(util::UnixSeconds begin,
                                               util::UnixSeconds end) const {
-  if (end <= begin) throw failmine::DomainError("empty observation window");
-  core::MttiResult r;
-  r.span_days = static_cast<double>(end - begin) /
-                static_cast<double>(util::kSecondsPerDay);
-  std::vector<util::UnixSeconds> times;
-  times.reserve(first_times_.size());
-  for (util::UnixSeconds t : first_times_)
-    if (t >= begin && t < end) times.push_back(t);
-  r.interruptions = times.size();
-  if (times.empty()) {
-    r.mtti_days = r.span_days;  // censored, as in core::compute_mtti
-    return r;
-  }
-  r.mtti_days = r.span_days / static_cast<double>(times.size());
-  for (std::size_t i = 1; i < times.size(); ++i)
-    r.intervals_days.push_back(static_cast<double>(times[i] - times[i - 1]) /
-                               static_cast<double>(util::kSecondsPerDay));
-  if (!r.intervals_days.empty()) {
-    r.mean_interval_days = stats::mean(r.intervals_days);
-    r.median_interval_days = stats::median(r.intervals_days);
-  }
-  return r;
+  return core::mtti_from_times(first_times_, begin, end);
 }
 
 // ---- ShardAggregates --------------------------------------------------

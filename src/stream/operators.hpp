@@ -114,8 +114,9 @@ class StreamingInterruptions {
   std::uint64_t input_events() const { return input_events_; }
   std::uint64_t interruptions() const { return first_times_.size(); }
 
-  /// MTTI over [begin, end), matching core::compute_mtti on the batch
-  /// filter's clusters.
+  /// MTTI over [begin, end): core::mtti_from_times over the first times
+  /// of the interruptions opened so far, as core::compute_mtti runs it on
+  /// the batch filter's clusters.
   core::MttiResult mtti(util::UnixSeconds begin, util::UnixSeconds end) const;
 
   const core::FilterConfig& config() const { return config_; }

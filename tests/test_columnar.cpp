@@ -150,21 +150,6 @@ TEST(ColumnarBitmap, SetTestCountForEach) {
   EXPECT_TRUE(b.test(63));
   EXPECT_FALSE(b.test(1));
   EXPECT_EQ(b.count(), 4u);
-  std::vector<std::size_t> seen;
-  b.for_each_set([&](std::size_t i) { seen.push_back(i); });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 63, 64, 129}));
-}
-
-TEST(ColumnarBitmap, LogicalAndRequiresEqualSizes) {
-  Bitmap a(70), b(70);
-  a.set(3);
-  a.set(65);
-  b.set(65);
-  const Bitmap both = Bitmap::logical_and(a, b);
-  EXPECT_EQ(both.count(), 1u);
-  EXPECT_TRUE(both.test(65));
-  Bitmap other(8);
-  EXPECT_THROW(Bitmap::logical_and(a, other), DomainError);
 }
 
 TEST(ColumnarTimestamp, DeltaEncodesNonDecreasingValues) {

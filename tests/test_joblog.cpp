@@ -133,14 +133,6 @@ TEST(JobLog, FailuresAndTotals) {
   JobLog log({ok, bad});
   EXPECT_EQ(log.failures().size(), 1u);
   EXPECT_EQ(log.failures()[0].job_id, 2u);
-  EXPECT_DOUBLE_EQ(log.total_core_hours(kMira),
-                   512.0 * 16.0 * 1.0 + 512.0 * 16.0 * 0.5);
-}
-
-TEST(JobLog, SpanDays) {
-  JobLog log({make_job(1, 100, 100 + 86400)});
-  EXPECT_NEAR(log.span_days(), 1.0 + 100.0 / 86400.0, 1e-9);
-  EXPECT_DOUBLE_EQ(JobLog().span_days(), 0.0);
 }
 
 class JobLogFile : public ::testing::Test {
