@@ -69,10 +69,12 @@ set(FAILMINE_PARSE_LINES_COUNTER parse.lines_total)
 
 # Counters the parallel mmap ingest engine registers on every batch load
 # (src/ingest/loader.cpp) — the default --data loading path, so a summary
-# run must have exported them.
+# run must have exported them. ingest.records_quoted counts the records
+# that left the quote-free scan fast path; it registers even at 0.
 set(FAILMINE_INGEST_REQUIRED_COUNTERS
   ingest.bytes_mapped
-  ingest.chunks)
+  ingest.chunks
+  ingest.records_quoted)
 
 # Counters the columnar table builder flushes on every merge
 # (src/columnar/builder.cpp) — present whenever a dataset was loaded

@@ -227,17 +227,9 @@ void RasTableBuilder::reserve(std::size_t n) {
   severity_code_.reserve(n);
   component_code_.reserve(n);
   category_code_.reserve(n);
-  location_code_.reserve(n);
+  location_.reserve(n);
   has_job_.reserve(n);
   job_id_.reserve(n);
-}
-
-std::uint32_t RasTableBuilder::encode_location(const topology::Location& loc) {
-  const std::string name = loc.to_string();
-  if (const auto code = location_dict_.find(name)) return *code;
-  const std::uint32_t code = location_dict_.encode(name);
-  locations_.push_back(loc);
-  return code;
 }
 
 void RasTableBuilder::add(const raslog::RasEvent& e) {
@@ -247,7 +239,7 @@ void RasTableBuilder::add(const raslog::RasEvent& e) {
   severity_code_.push_back(static_cast<std::uint8_t>(e.severity));
   component_code_.push_back(static_cast<std::uint8_t>(e.component));
   category_code_.push_back(static_cast<std::uint8_t>(e.category));
-  location_code_.push_back(encode_location(e.location));
+  location_.push_back(e.location);
   has_job_.push_back(e.job_id.has_value() ? 1 : 0);
   job_id_.push_back(e.job_id.value_or(0));
   text_.push_back(e.text);
@@ -278,16 +270,8 @@ void RasTableBuilder::add_csv_row(const util::FieldVec& row) {
       static_cast<std::uint8_t>(raslog::component_from_name(row[4]));
   const std::uint8_t category =
       static_cast<std::uint8_t>(raslog::category_from_name(row[5]));
-  // Location strings repeat heavily; a dictionary hit skips the parse
-  // entirely (the same string always parses to the same location).
-  std::uint32_t location;
-  if (const auto code = location_dict_.find(row[6])) {
-    location = *code;
-  } else {
-    const topology::Location loc = topology::Location::parse(row[6], *config_);
-    location = location_dict_.encode(row[6]);
-    locations_.push_back(loc);
-  }
+  const topology::Location location =
+      topology::Location::parse(row[6], *config_);
   const bool has_job = !row[7].empty();
   const std::uint64_t job = has_job ? util::parse_uint(row[7]) : 0;
   // All throwing parses are done; commit the row.
@@ -297,7 +281,7 @@ void RasTableBuilder::add_csv_row(const util::FieldVec& row) {
   severity_code_.push_back(severity);
   component_code_.push_back(component);
   category_code_.push_back(category);
-  location_code_.push_back(location);
+  location_.push_back(location);
   has_job_.push_back(has_job ? 1 : 0);
   job_id_.push_back(job);
   text_.push_back(row[8]);
@@ -308,26 +292,19 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
   FAILMINE_TRACE_SPAN("columnar.build");
   RasTable t;
   const std::size_t n_chunks = chunks.size();
-  // Serial phase: fold the chunk dictionaries in file order (chunk 0's
-  // codes are already final) and place every chunk's rows and text bytes.
+  // Serial phase: fold the chunk message dictionaries in file order
+  // (chunk 0's codes are already final) and place every chunk's rows and
+  // text bytes.
   std::vector<std::vector<std::uint32_t>> message_remap(n_chunks);
-  std::vector<std::vector<std::uint32_t>> location_remap(n_chunks);
   std::vector<std::size_t> row_at(n_chunks + 1, 0);
   std::vector<std::size_t> text_at(n_chunks + 1, 0);
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     RasTableBuilder& c = chunks[ci];
     if (ci == 0) {
       t.message_dict = std::move(c.message_dict_);
-      t.location_dict = std::move(c.location_dict_);
-      t.locations = std::move(c.locations_);
       message_remap[0] = identity_remap(t.message_dict.size());
-      location_remap[0] = identity_remap(t.location_dict.size());
     } else {
       t.message_dict.merge_from(c.message_dict_, message_remap[ci]);
-      t.location_dict.merge_from(c.location_dict_, location_remap[ci]);
-      for (std::size_t code = 0; code < location_remap[ci].size(); ++code)
-        if (location_remap[ci][code] == t.locations.size())
-          t.locations.push_back(c.locations_[code]);
     }
     row_at[ci + 1] = row_at[ci] + c.rows();
     text_at[ci + 1] = text_at[ci] + c.text_.text_bytes();
@@ -348,7 +325,7 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
       [&] { t.severity_code.resize(n); },
       [&] { t.component_code.resize(n); },
       [&] { t.category_code.resize(n); },
-      [&] { t.location_code.resize(n); },
+      [&] { t.location.resize(n, topology::Location::rack(0, 0)); },
       [&] { t.job_id.resize(n); },
       [&] { t.text.resize(n, text_at[n_chunks]); }};
   ingest::detail::run_parallel(std::size(presize), threads,
@@ -362,7 +339,7 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
     copy_slice(t.severity_code, at, c.severity_code_);
     copy_slice(t.component_code, at, c.component_code_);
     copy_slice(t.category_code, at, c.category_code_);
-    remap_slice(t.location_code, at, c.location_code_, location_remap[ci]);
+    copy_slice(t.location, at, c.location_);
     copy_slice(has_job, at, c.has_job_);
     copy_slice(t.job_id, at, c.job_id_);
     t.text.write_slice(at, text_at[ci], c.text_);
@@ -383,7 +360,7 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
     apply_permutation(t.severity_code, perm);
     apply_permutation(t.component_code, perm);
     apply_permutation(t.category_code, perm);
-    apply_permutation(t.location_code, perm);
+    apply_permutation(t.location, perm);
     apply_permutation(has_job, perm);
     apply_permutation(t.job_id, perm);
     StringArena text;
@@ -398,8 +375,7 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
     if (has_job[i]) t.has_job.set(i);
     t.severity_bits[t.severity_code[i]].set(i);
   }
-  flush_build_metrics(n, t.bytes(),
-                      t.message_dict.size() + t.location_dict.size(), !sorted,
+  flush_build_metrics(n, t.bytes(), t.message_dict.size(), !sorted,
                       !t.timestamp.delta_encoded());
   return t;
 }

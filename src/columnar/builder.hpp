@@ -13,14 +13,14 @@
 // not already sorted, timestamps are delta-sealed and the predicate
 // bitmaps are built.
 //
-// The RAS merge, which carries the large location dictionary and the
-// free-text column, runs in two phases:
-//   1. Serial: fold only the chunk dictionaries, in file order, and
-//      compute each chunk's row and text-byte offsets in the merged
-//      table.
+// The RAS merge, which carries the largest columns and the free-text
+// column, runs in two phases:
+//   1. Serial: fold the chunk message dictionaries (a few dozen entries)
+//      in file order, and compute each chunk's row and text-byte offsets
+//      in the merged table.
 //   2. Parallel (ingest::detail::run_parallel over the chunks, at the
-//      load's thread count): each chunk remaps its codes, copies its
-//      columns and text into its own slice of the presized merged
+//      load's thread count): each chunk remaps its message codes, copies
+//      its columns and text into its own slice of the presized merged
 //      columns and frees its builder.
 // The canonical re-sort, the seal and the bitmap build then run on the
 // merged columns as for the other tables, whose merges concatenate
@@ -92,8 +92,7 @@ class RasTableBuilder {
 
   void reserve(std::size_t n);
   void add(const raslog::RasEvent& event);
-  /// Parses one CSV row (raslog column order) and adds it. Repeated
-  /// location strings hit the dictionary and skip re-parsing; the field
+  /// Parses one CSV row (raslog column order) and adds it. The field
   /// parse order (and so the first thrown error) matches the row path.
   void add_csv_row(const util::FieldVec& row);
   std::size_t rows() const { return record_id_.size(); }
@@ -104,8 +103,6 @@ class RasTableBuilder {
                         unsigned threads = 1);
 
  private:
-  std::uint32_t encode_location(const topology::Location& loc);
-
   const topology::MachineConfig* config_;
   std::vector<std::uint64_t> record_id_;
   std::vector<util::UnixSeconds> timestamp_;
@@ -114,9 +111,7 @@ class RasTableBuilder {
   std::vector<std::uint8_t> severity_code_;
   std::vector<std::uint8_t> component_code_;
   std::vector<std::uint8_t> category_code_;
-  std::vector<std::uint32_t> location_code_;
-  Dictionary location_dict_;
-  std::vector<topology::Location> locations_;
+  std::vector<topology::Location> location_;
   std::vector<std::uint8_t> has_job_;
   std::vector<std::uint64_t> job_id_;
   StringArena text_;

@@ -70,7 +70,7 @@ raslog::RasEvent RasTable::row(std::size_t i) const {
   e.severity = static_cast<raslog::Severity>(severity_code[i]);
   e.component = static_cast<raslog::Component>(component_code[i]);
   e.category = static_cast<raslog::Category>(category_code[i]);
-  e.location = locations[location_code[i]];
+  e.location = location[i];
   if (has_job.test(i)) e.job_id = job_id[i];
   e.text = std::string(text.view(i));
   return e;
@@ -86,7 +86,7 @@ std::vector<raslog::RasEvent> RasTable::to_records() const {
     e.severity = static_cast<raslog::Severity>(severity_code[i]);
     e.component = static_cast<raslog::Component>(component_code[i]);
     e.category = static_cast<raslog::Category>(category_code[i]);
-    e.location = locations[location_code[i]];
+    e.location = location[i];
     if (has_job.test(i)) e.job_id = job_id[i];
     e.text = std::string(text.view(i));
   });
@@ -97,10 +97,8 @@ std::size_t RasTable::bytes() const {
   std::size_t total = vec_bytes(record_id) + timestamp.bytes() +
                       vec_bytes(message_code) + message_dict.bytes() +
                       vec_bytes(severity_code) + vec_bytes(component_code) +
-                      vec_bytes(category_code) + vec_bytes(location_code) +
-                      location_dict.bytes() +
-                      vec_bytes(locations) + has_job.bytes() +
-                      vec_bytes(job_id) + text.bytes();
+                      vec_bytes(category_code) + vec_bytes(location) +
+                      has_job.bytes() + vec_bytes(job_id) + text.bytes();
   for (const Bitmap& b : severity_bits) total += b.bytes();
   return total;
 }

@@ -3,13 +3,14 @@
 // Sealed structure-of-arrays tables for the four log types.
 //
 // Each table stores one dense column per record field: dictionary codes
-// for strings (columnar/dictionary.hpp), delta-compressed timestamps
-// (columnar/column.hpp), u8 codes for small enums, and precomputed
-// bitmaps (columnar/bitmap.hpp) for the hot predicates. Rows follow the
-// same order invariants as the AoS containers — jobs by (start_time,
-// job_id), RAS by (timestamp, record_id), tasks by (job_id, sequence),
-// I/O by job_id — so a forward column scan visits records in exactly the
-// order the row-path analyses do, so the shared accumulators
+// for low-cardinality strings (columnar/dictionary.hpp), delta-compressed
+// timestamps (columnar/column.hpp), u8 codes for small enums, parsed
+// 7-byte RAS locations, and precomputed bitmaps (columnar/bitmap.hpp)
+// for the hot predicates. Rows follow the same order invariants as the
+// AoS containers — jobs by (start_time, job_id), RAS by (timestamp,
+// record_id), tasks by (job_id, sequence), I/O by job_id — so a forward
+// column scan visits records in exactly the order the row-path analyses
+// do, so the shared accumulators
 // (analysis/accumulators.hpp) see the same rows in the same order from
 // either representation.
 //
@@ -123,11 +124,9 @@ struct RasTable {
   std::vector<std::uint8_t> severity_code;   ///< raslog::Severity
   std::vector<std::uint8_t> component_code;  ///< raslog::Component
   std::vector<std::uint8_t> category_code;   ///< raslog::Category
-  std::vector<std::uint32_t> location_code;
-  Dictionary location_dict;
-  /// Parsed location per dictionary code (aligned with location_dict) —
-  /// repeated locations validate and parse once, not once per row.
-  std::vector<topology::Location> locations;
+  /// Parsed per row: a 7-byte Location costs less to store and to parse
+  /// than a dictionary probe of its ~97 k distinct strings.
+  std::vector<topology::Location> location;
   Bitmap has_job;
   std::vector<std::uint64_t> job_id;  ///< 0 where has_job is clear
   StringArena text;

@@ -22,13 +22,18 @@
 // CRLF input) stripped, treating newlines inside quotes as field content.
 // Concatenating the cursors of all chunks in order visits exactly the
 // records of the whole buffer, in order — the invariant the parallel
-// loader's determinism rests on.
+// loader's determinism rests on. next(FieldVec&) also splits the record;
+// a record without a '"' takes the memchr fast path described in
+// util/csv.hpp.
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string_view>
 #include <vector>
+
+#include "util/csv.hpp"
 
 namespace failmine::ingest {
 
@@ -65,27 +70,55 @@ class CsvCursor {
   /// then reports the unterminated quote).
   bool next(std::string_view& record) {
     if (pos_ >= data_.size()) return false;
-    const std::size_t start = pos_;
-    bool in_quotes = false;
-    std::size_t i = pos_;
-    while (i < data_.size()) {
-      const char c = data_[i];
-      if (c == '"')
-        in_quotes = !in_quotes;
-      else if (c == '\n' && !in_quotes)
-        break;
-      ++i;
-    }
-    std::size_t end = i;
-    pos_ = i < data_.size() ? i + 1 : i;  // consume the '\n', if any
-    if (end > start && data_[end - 1] == '\r') --end;
-    record = data_.substr(start, end - start);
+    cut(record);
     return true;
   }
 
+  /// Advances to the next record and splits it into `fields`; false at
+  /// end of chunk. Throws ParseError for a record whose quotes never
+  /// close; the cursor has already moved past that record.
+  bool next(util::FieldVec& fields) {
+    if (pos_ >= data_.size()) return false;
+    std::string_view record;
+    if (cut(record))
+      util::split_unquoted_csv_fields(record, fields);
+    else
+      util::split_csv_fields(record, fields);
+    return true;
+  }
+
+  /// Records cut so far that contain a '"' and so took the state machine.
+  std::size_t quoted_records() const { return quoted_; }
+
  private:
+  /// Cuts the record at pos_ and moves past its terminator. Returns true
+  /// when the record contains no quote. Both find() calls are memchr.
+  bool cut(std::string_view& record) {
+    const std::size_t start = pos_;
+    std::size_t end = std::min(data_.find('\n', start), data_.size());
+    const std::size_t quote = data_.substr(start, end - start).find('"');
+    if (quote != std::string_view::npos) {
+      // Quote-aware cut from the first quote (the bytes before it hold
+      // neither a quote nor a newline): a newline inside quotes is field
+      // content.
+      ++quoted_;
+      bool in_quotes = false;
+      for (end = start + quote; end < data_.size(); ++end) {
+        if (data_[end] == '"')
+          in_quotes = !in_quotes;
+        else if (data_[end] == '\n' && !in_quotes)
+          break;
+      }
+    }
+    pos_ = end < data_.size() ? end + 1 : end;  // consume the '\n', if any
+    if (end > start && data_[end - 1] == '\r') --end;
+    record = data_.substr(start, end - start);
+    return quote == std::string_view::npos;
+  }
+
   std::string_view data_;
   std::size_t pos_ = 0;
+  std::size_t quoted_ = 0;
 };
 
 }  // namespace failmine::ingest

@@ -107,16 +107,18 @@ void run_parallel(std::size_t n_tasks, unsigned threads,
   if (error) std::rethrow_exception(error);
 }
 
-void flush_success(const char* records_counter, std::size_t rows) {
+void flush_success(const char* records_counter, std::size_t rows,
+                   std::size_t quoted) {
   obs::MetricsRegistry& registry = obs::metrics();
   registry.counter("parse.lines_total").add(rows);
   registry.counter(records_counter).add(rows);
+  registry.counter("ingest.records_quoted").add(quoted);
 }
 
 [[noreturn]] void report_failure(const std::string& path, const char* source,
                                  const char* records_counter,
                                  std::size_t header_arity,
-                                 std::size_t rows_before,
+                                 std::size_t rows_before, std::size_t quoted,
                                  const RowFailure& failure) {
   const std::size_t global_row = rows_before + failure.local_row;
   // The serial reader counts the bad row in lines_total (it was read),
@@ -126,6 +128,7 @@ void flush_success(const char* records_counter, std::size_t rows) {
   registry.counter("parse.lines_total").add(global_row);
   registry.counter(records_counter).add(global_row - 1);
   registry.counter("parse.lines_rejected").add();
+  registry.counter("ingest.records_quoted").add(quoted);
 
   // Rows are reported 1-based counting the header: data row r is file
   // row r + 1 — the numbering CsvReader and the serial loaders use.

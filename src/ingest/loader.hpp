@@ -5,8 +5,8 @@
 // load_csv mmaps the file (ingest/mapped_file.hpp), splits the body into
 // ~threads×4 record-aligned chunks (ingest/chunk.hpp) and parses the
 // chunks concurrently: each worker walks its chunk with a CsvCursor,
-// splits records through the allocation-free util::split_csv_fields
-// fast path, and appends parsed records to a chunk-local vector. Workers
+// which cuts and splits each record into an allocation-free
+// util::FieldVec, and appends parsed records to a chunk-local vector. Workers
 // touch no shared state while parsing — row counters accumulate as local
 // deltas and are flushed to the obs metrics registry exactly once per
 // load, and WARN diagnostics for rejected rows are deferred to the merge
@@ -23,10 +23,12 @@
 // which worker parses which chunk first — is erased by the ordered merge
 // and the deferred diagnostics.
 //
-// Instrumentation: ingest.bytes_mapped / ingest.chunks counters, an
-// "ingest.load" span per file and an "ingest.chunk" span per chunk (on
-// the worker thread, so chunk parsing shows up attributed in /profile
-// flamegraphs).
+// Instrumentation: ingest.bytes_mapped / ingest.chunks counters, the
+// ingest.records_quoted counter (records that contain a '"' and so
+// left the cursor's quote-free fast path for the RFC 4180 state
+// machine; flushed once per load), an "ingest.load" span per file and
+// an "ingest.chunk" span per chunk (on the worker thread, so chunk
+// parsing shows up attributed in /profile flamegraphs).
 //
 // load_csv_fold generalizes the per-row action: each chunk folds its
 // rows into a caller-supplied accumulator (the columnar builders use
@@ -107,6 +109,7 @@ struct RowFailure {
 /// Per-chunk bookkeeping accumulated worker-locally.
 struct ChunkStats {
   std::size_t rows = 0;  ///< records attempted, including a failed one
+  std::size_t quoted = 0;  ///< of those, records that contain a quote
   bool failed = false;
   RowFailure failure;
 };
@@ -136,19 +139,22 @@ void run_parallel(std::size_t n_tasks, unsigned threads,
                   const std::function<void(std::size_t)>& fn);
 
 /// Success-path metric flush: parse.lines_total and `records_counter`
-/// advance by `rows` in one add each.
-void flush_success(const char* records_counter, std::size_t rows);
+/// advance by `rows`, and ingest.records_quoted by `quoted`, in one add
+/// each.
+void flush_success(const char* records_counter, std::size_t rows,
+                   std::size_t quoted);
 
 /// Failure path: flushes the counters the serial reader would have
 /// touched before dying (lines_total/records up to the bad row, one
-/// lines_rejected), emits the serial reader's WARN record verbatim, and
-/// throws — the stored exception for quote/record failures, a
-/// reconstructed ParseError (with the global row number) for arity
-/// failures.
+/// lines_rejected) and ingest.records_quoted by `quoted` (the quoted
+/// records up to the bad row), emits the serial reader's WARN record
+/// verbatim, and throws — the stored exception for quote/record
+/// failures, a reconstructed ParseError (with the global row number) for
+/// arity failures.
 [[noreturn]] void report_failure(const std::string& path, const char* source,
                                  const char* records_counter,
                                  std::size_t header_arity,
-                                 std::size_t rows_before,
+                                 std::size_t rows_before, std::size_t quoted,
                                  const RowFailure& failure);
 
 }  // namespace detail
@@ -198,19 +204,19 @@ std::vector<Acc> load_csv_fold(const std::string& path,
         detail::ChunkStats& st = stats[ci];
         util::FieldVec fields;
         CsvCursor cursor(chunk.data);
-        std::string_view record;
-        while (cursor.next(record)) {
+        for (;;) {
           if (ci > first_failed.load(std::memory_order_relaxed)) return;
-          ++st.rows;
           try {
-            util::split_csv_fields(record, fields);
+            if (!cursor.next(fields)) break;
           } catch (const failmine::ParseError&) {
+            ++st.rows;
             st.failed = true;
             st.failure.kind = detail::RowFailure::Kind::kQuote;
             st.failure.local_row = st.rows;
             st.failure.exception = std::current_exception();
             break;
           }
+          ++st.rows;
           if (fields.size() != arity) {
             st.failed = true;
             st.failure.kind = detail::RowFailure::Kind::kArity;
@@ -229,6 +235,7 @@ std::vector<Acc> load_csv_fold(const std::string& path,
             break;
           }
         }
+        st.quoted = cursor.quoted_records();
         if (st.failed) {
           std::size_t expected = first_failed.load(std::memory_order_relaxed);
           while (ci < expected &&
@@ -242,13 +249,15 @@ std::vector<Acc> load_csv_fold(const std::string& path,
   // contributed rows, everything after it is discarded — exactly the
   // serial reader's view of the file.
   std::size_t rows_before = 0;
+  std::size_t quoted = 0;
   for (std::size_t ci = 0; ci < plan.chunks.size(); ++ci) {
+    quoted += stats[ci].quoted;
     if (stats[ci].failed)
       detail::report_failure(path, source, records_counter, arity,
-                             rows_before, stats[ci].failure);
+                             rows_before, quoted, stats[ci].failure);
     rows_before += stats[ci].rows;
   }
-  detail::flush_success(records_counter, rows_before);
+  detail::flush_success(records_counter, rows_before, quoted);
   return results;
 }
 

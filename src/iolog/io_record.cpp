@@ -26,8 +26,11 @@ IoLog::IoLog(std::vector<IoRecord> records) : records_(std::move(records)) {
 void IoLog::append(IoRecord record) { records_.push_back(record); }
 
 void IoLog::finalize() {
-  std::sort(records_.begin(), records_.end(),
-            [](const IoRecord& a, const IoRecord& b) { return a.job_id < b.job_id; });
+  const auto less = [](const IoRecord& a, const IoRecord& b) {
+    return a.job_id < b.job_id;
+  };
+  if (!std::is_sorted(records_.begin(), records_.end(), less))
+    std::stable_sort(records_.begin(), records_.end(), less);
   index_.clear();
   index_.reserve(records_.size());
   for (std::size_t i = 0; i < records_.size(); ++i) {

@@ -36,10 +36,12 @@ JobLog::JobLog(std::vector<JobRecord> jobs) : jobs_(std::move(jobs)) { finalize(
 void JobLog::append(JobRecord job) { jobs_.push_back(std::move(job)); }
 
 void JobLog::finalize() {
-  std::sort(jobs_.begin(), jobs_.end(), [](const JobRecord& a, const JobRecord& b) {
+  const auto less = [](const JobRecord& a, const JobRecord& b) {
     if (a.start_time != b.start_time) return a.start_time < b.start_time;
     return a.job_id < b.job_id;
-  });
+  };
+  if (!std::is_sorted(jobs_.begin(), jobs_.end(), less))
+    std::stable_sort(jobs_.begin(), jobs_.end(), less);
   index_.clear();
   index_.reserve(jobs_.size());
   for (std::size_t i = 0; i < jobs_.size(); ++i) {

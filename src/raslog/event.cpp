@@ -26,11 +26,12 @@ RasLog::RasLog(std::vector<RasEvent> events) : events_(std::move(events)) {
 void RasLog::append(RasEvent event) { events_.push_back(std::move(event)); }
 
 void RasLog::finalize() {
-  std::sort(events_.begin(), events_.end(),
-            [](const RasEvent& a, const RasEvent& b) {
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              return a.record_id < b.record_id;
-            });
+  const auto less = [](const RasEvent& a, const RasEvent& b) {
+    if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+    return a.record_id < b.record_id;
+  };
+  if (!std::is_sorted(events_.begin(), events_.end(), less))
+    std::stable_sort(events_.begin(), events_.end(), less);
 }
 
 std::vector<RasEvent> RasLog::filter_severity(Severity severity) const {

@@ -56,7 +56,7 @@ class RasLog {
  public:
   RasLog() = default;
 
-  /// Takes ownership; sorts by (timestamp, record_id).
+  /// Takes ownership; sorts as finalize() does.
   explicit RasLog(std::vector<RasEvent> events);
 
   const std::vector<RasEvent>& events() const { return events_; }
@@ -66,7 +66,8 @@ class RasLog {
   /// Appends one event (re-sorting deferred until finalize()).
   void append(RasEvent event);
 
-  /// Sorts by (timestamp, record_id); call after a batch of appends.
+  /// Sorts by (timestamp, record_id), keeping the append order of equal
+  /// keys (as the columnar merge does); call after a batch of appends.
   void finalize();
 
   /// Events with the given severity, in time order.

@@ -22,6 +22,12 @@ bool equals_lower(std::string_view name, std::string_view lower) {
   return true;
 }
 
+/// Exact token compare that rejects on length and first byte before
+/// comparing the whole token (tokens are never empty).
+bool token_equals(std::string_view token, std::string_view name) {
+  return token.size() == name.size() && token[0] == name[0] && token == name;
+}
+
 std::string_view component_token(Component component) {
   switch (component) {
     case Component::kCnk: return "CNK";
@@ -81,7 +87,7 @@ std::string component_name(Component component) {
 
 Component component_from_name(std::string_view name) {
   for (Component c : kAllComponents)
-    if (component_token(c) == name) return c;
+    if (token_equals(component_token(c), name)) return c;
   throw failmine::ParseError("unknown component: '" + std::string(name) + "'");
 }
 
@@ -91,7 +97,7 @@ std::string category_name(Category category) {
 
 Category category_from_name(std::string_view name) {
   for (Category c : kAllCategories)
-    if (category_token(c) == name) return c;
+    if (token_equals(category_token(c), name)) return c;
   throw failmine::ParseError("unknown category: '" + std::string(name) + "'");
 }
 

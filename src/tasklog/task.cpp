@@ -25,11 +25,12 @@ TaskLog::TaskLog(std::vector<TaskRecord> tasks) : tasks_(std::move(tasks)) {
 void TaskLog::append(TaskRecord task) { tasks_.push_back(std::move(task)); }
 
 void TaskLog::finalize() {
-  std::sort(tasks_.begin(), tasks_.end(),
-            [](const TaskRecord& a, const TaskRecord& b) {
-              if (a.job_id != b.job_id) return a.job_id < b.job_id;
-              return a.sequence < b.sequence;
-            });
+  const auto less = [](const TaskRecord& a, const TaskRecord& b) {
+    if (a.job_id != b.job_id) return a.job_id < b.job_id;
+    return a.sequence < b.sequence;
+  };
+  if (!std::is_sorted(tasks_.begin(), tasks_.end(), less))
+    std::stable_sort(tasks_.begin(), tasks_.end(), less);
   by_job_.clear();
   for (std::size_t i = 0; i < tasks_.size(); ++i)
     by_job_[tasks_[i].job_id].push_back(i);

@@ -61,6 +61,8 @@ class TaskLog {
   bool empty() const { return tasks_.empty(); }
 
   void append(TaskRecord task);
+  /// Sorts by (job_id, sequence), keeping the append order of equal keys
+  /// (as the columnar merge does), and rebuilds the per-job index.
   void finalize();
 
   /// Tasks belonging to a job, in sequence order (empty if none).

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace failmine::topology {
 
@@ -46,8 +45,8 @@ Location Location::rack(int row, int column) {
     throw failmine::DomainError("rack row/column out of representable range");
   Location loc;
   loc.level_ = Level::kRack;
-  loc.rack_row_ = row;
-  loc.rack_column_ = column;
+  loc.rack_row_ = static_cast<std::uint8_t>(row);
+  loc.rack_column_ = static_cast<std::uint8_t>(column);
   return loc;
 }
 
@@ -58,7 +57,7 @@ Location Location::with_midplane(int midplane) const {
     throw failmine::DomainError("midplane out of representable range");
   Location loc = *this;
   loc.level_ = Level::kMidplane;
-  loc.midplane_ = midplane;
+  loc.midplane_ = static_cast<std::uint8_t>(midplane);
   return loc;
 }
 
@@ -69,7 +68,7 @@ Location Location::with_board(int board) const {
     throw failmine::DomainError("board out of representable range");
   Location loc = *this;
   loc.level_ = Level::kNodeBoard;
-  loc.board_ = board;
+  loc.board_ = static_cast<std::uint8_t>(board);
   return loc;
 }
 
@@ -80,7 +79,7 @@ Location Location::with_card(int card) const {
     throw failmine::DomainError("card out of representable range");
   Location loc = *this;
   loc.level_ = Level::kComputeCard;
-  loc.card_ = card;
+  loc.card_ = static_cast<std::uint8_t>(card);
   return loc;
 }
 
@@ -91,55 +90,62 @@ Location Location::with_core(int core) const {
     throw failmine::DomainError("core out of representable range");
   Location loc = *this;
   loc.level_ = Level::kCore;
-  loc.core_ = core;
+  loc.core_ = static_cast<std::uint8_t>(core);
   return loc;
 }
 
 Location Location::parse(std::string_view text, const MachineConfig& config) {
-  const auto parts = util::split(text, '-');
-  if (parts.empty() || parts[0].empty())
-    throw failmine::ParseError("empty location string");
+  // The '-'-separated parts, empty ones included ("R17-" has two). Six
+  // slots suffice: a sixth part only means "too many components".
+  std::array<std::string_view, 6> parts;
+  std::size_t n_parts = 0;
+  for (std::size_t start = 0;;) {
+    const std::size_t dash = text.find('-', start);
+    parts[n_parts++] = text.substr(start, dash - start);
+    if (dash == std::string_view::npos || n_parts == parts.size()) break;
+    start = dash + 1;
+  }
+  if (parts[0].empty()) throw failmine::ParseError("empty location string");
 
   // Rack part: R<row><col-hex>, e.g. "R17" or "R2F".
-  const std::string& r = parts[0];
+  const std::string_view r = parts[0];
   if (r.size() != 3 || r[0] != 'R' || r[1] < '0' || r[1] > '9')
-    throw failmine::ParseError("bad rack component '" + r + "'");
+    throw failmine::ParseError("bad rack component '" + std::string(r) + "'");
   const int row = r[1] - '0';
   const int col = hex_digit_value(r[2]);
   if (row >= config.rack_rows || col >= config.rack_columns)
-    throw failmine::DomainError("rack " + r + " outside machine");
+    throw failmine::DomainError("rack " + std::string(r) + " outside machine");
   Location loc = rack(row, col);
 
-  if (parts.size() >= 2) {
-    const int m = [&] {
-      const std::string& p = parts[1];
-      if (p.size() != 2 || p[0] != 'M' || p[1] < '0' || p[1] > '9')
-        throw failmine::ParseError("bad midplane component '" + p + "'");
-      return p[1] - '0';
-    }();
+  if (n_parts >= 2) {
+    const std::string_view p = parts[1];
+    if (p.size() != 2 || p[0] != 'M' || p[1] < '0' || p[1] > '9')
+      throw failmine::ParseError("bad midplane component '" + std::string(p) +
+                                 "'");
+    const int m = p[1] - '0';
     if (m >= config.midplanes_per_rack)
       throw failmine::DomainError("midplane out of machine range");
     loc = loc.with_midplane(m);
   }
-  if (parts.size() >= 3) {
+  if (n_parts >= 3) {
     const int n = parse_two_digits(parts[2], 'N');
     if (n >= config.boards_per_midplane)
       throw failmine::DomainError("node board out of machine range");
     loc = loc.with_board(n);
   }
-  if (parts.size() >= 4) {
+  if (n_parts >= 4) {
     const int j = parse_two_digits(parts[3], 'J');
     if (j >= config.cards_per_board)
       throw failmine::DomainError("compute card out of machine range");
     loc = loc.with_card(j);
   }
-  if (parts.size() >= 5) {
+  if (n_parts >= 5) {
     const int c = parse_two_digits(parts[4], 'C');
     if (c >= config.cores_per_node)
       throw failmine::DomainError("core out of machine range");
     loc = loc.with_core(c);
   }
-  if (parts.size() > 5)
+  if (n_parts > 5)
     throw failmine::ParseError("location has too many components: '" +
                                std::string(text) + "'");
   return loc;

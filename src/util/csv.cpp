@@ -166,6 +166,18 @@ void split_csv_fields(std::string_view line, FieldVec& out) {
   scan_csv_line(line, sink);
 }
 
+void split_unquoted_csv_fields(std::string_view line, FieldVec& out) {
+  out.clear();
+  out.base_ = line.data();
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = line.find(',', begin);  // memchr
+    const std::size_t end = std::min(comma, line.size());
+    out.push({begin, end - begin, false});
+    if (comma == std::string_view::npos) return;
+    begin = comma + 1;
+  }
+}
+
 std::string escape_csv_field(std::string_view field) {
   const bool needs_quoting =
       field.find_first_of(",\"\n\r") != std::string_view::npos;

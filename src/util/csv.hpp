@@ -13,8 +13,18 @@
 //    CsvReader path);
 //  * split_csv_fields yields std::string_view fields into a caller-owned
 //    FieldVec, copying bytes only for fields that need quote unescaping —
-//    the allocation-free hot path of the parallel ingest engine
+//    the allocation-free path of the parallel ingest engine
 //    (ingest/loader.hpp).
+//
+// The ingest engine's scan fast path skips the state machine for a
+// record with no '"' byte: ingest::CsvCursor finds the record's newline
+// and the absence of quotes with memchr, and split_unquoted_csv_fields
+// cuts it at every comma, again with memchr. Without a quote, a comma
+// always ends a field and a newline always ends the record, so both
+// paths give the same fields. Every record that contains a quote
+// anywhere, quoted newlines and unterminated quotes included, falls back
+// to the state machine; the engine counts those records in
+// ingest.records_quoted.
 
 #pragma once
 
@@ -27,15 +37,15 @@
 namespace failmine::util {
 
 /// Reusable list of zero-copy CSV fields. Each field is a string_view
-/// pointing either into the line handed to split_csv_fields (fields that
-/// need no unescaping — the overwhelming majority) or into an internal
+/// pointing either into the line it was split from (fields that need no
+/// unescaping — the overwhelming majority) or into an internal
 /// scratch buffer (fields containing escaped quotes, whose bytes differ
 /// from the raw input). Reusing one FieldVec across rows makes the
 /// steady-state parse allocation-free: the ref vector and the scratch
 /// buffer keep their capacity across clear().
 ///
-/// Views are invalidated by the next split_csv_fields call and by the
-/// death of the line buffer they were parsed from.
+/// Views are invalidated by the next split into the same FieldVec and by
+/// the death of the line buffer they were parsed from.
 class FieldVec {
  public:
   std::size_t size() const { return size_; }
@@ -55,6 +65,7 @@ class FieldVec {
 
  private:
   friend void split_csv_fields(std::string_view line, FieldVec& out);
+  friend void split_unquoted_csv_fields(std::string_view line, FieldVec& out);
 
   struct Ref {
     std::size_t begin = 0;
@@ -90,6 +101,11 @@ void split_csv_line(std::string_view line, std::vector<std::string>& fields);
 /// Throws ParseError on unterminated quotes. Shares the quote state
 /// machine with split_csv_line, so the two agree on every input.
 void split_csv_fields(std::string_view line, FieldVec& out);
+
+/// split_csv_fields for a line known to contain no '"': fields are the
+/// views between commas, found with memchr. On such a line it gives the
+/// same fields as split_csv_fields.
+void split_unquoted_csv_fields(std::string_view line, FieldVec& out);
 
 /// Quotes a field if (and only if) it needs quoting.
 std::string escape_csv_field(std::string_view field);

@@ -9,24 +9,21 @@
 
 namespace failmine::util {
 
+namespace {
+
+// std::isspace in the "C" locale, without the locale lookup per byte.
+bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+}  // namespace
+
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && is_space(s[b])) ++b;
+  while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
-}
-
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      parts.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
 }
 
 std::string to_lower(std::string_view s) {

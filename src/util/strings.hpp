@@ -7,15 +7,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace failmine::util {
 
-/// Removes leading and trailing ASCII whitespace.
+/// Removes leading and trailing ASCII whitespace (the "C"-locale
+/// isspace set: space, \t, \n, \v, \f, \r).
 std::string_view trim(std::string_view s);
-
-/// Splits on a single-character delimiter (no quoting; empty fields kept).
-std::vector<std::string> split(std::string_view s, char delim);
 
 /// ASCII lower-casing.
 std::string to_lower(std::string_view s);

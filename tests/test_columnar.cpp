@@ -346,10 +346,9 @@ TEST(ColumnarBuilder, RasRoundTripKeepsLocationsAligned) {
   const RasTable t = RasTableBuilder::merge(std::move(chunks));
   ASSERT_EQ(t.rows(), expected.size());
   EXPECT_EQ(t.to_records(), expected);
-  ASSERT_EQ(t.locations.size(), t.location_dict.size());
+  ASSERT_EQ(t.location.size(), t.rows());
   for (std::size_t i = 0; i < t.rows(); ++i)
-    EXPECT_EQ(t.locations[t.location_code[i]].to_string(),
-              t.location_dict.name(t.location_code[i]));
+    EXPECT_EQ(t.location[i], expected[i].location);
   EXPECT_EQ(t.severity_bits[static_cast<std::size_t>(raslog::Severity::kFatal)]
                 .count(),
             1u);
@@ -414,10 +413,7 @@ TEST(ColumnarBuilder, RasMergeSortFallbackMatchesOneBuilder) {
     EXPECT_EQ(t.record_id, expected.record_id) << threads;
     EXPECT_EQ(t.message_code, expected.message_code) << threads;
     EXPECT_EQ(t.message_dict.names(), expected.message_dict.names()) << threads;
-    EXPECT_EQ(t.location_code, expected.location_code) << threads;
-    EXPECT_EQ(t.location_dict.names(), expected.location_dict.names())
-        << threads;
-    EXPECT_EQ(t.locations, expected.locations) << threads;
+    EXPECT_EQ(t.location, expected.location) << threads;
     EXPECT_EQ(t.job_id, expected.job_id) << threads;
     EXPECT_EQ(t.has_job.words(), expected.has_job.words()) << threads;
     for (std::size_t s = 0; s < t.severity_bits.size(); ++s)

@@ -2,7 +2,8 @@
 // against the row path — tables that round-trip to the row records,
 // the same rejected-row diagnostics and counter deltas, stable
 // dictionary codes for any ingest thread count — on a simulated Mira
-// trace (CSV round trip). The analyses both backends answer are checked
+// trace (CSV round trip), and the same order among equal sort keys on
+// small hand-written files. The analyses both backends answer are checked
 // against a naive reference in test_columnar_differential.cpp.
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 #include "columnar/builder.hpp"
 #include "columnar/load.hpp"
 #include "obs/metrics.hpp"
+#include "raslog/event.hpp"
 #include "sim/simulator.hpp"
+#include "tasklog/task.hpp"
 #include "util/error.hpp"
 
 namespace failmine {
@@ -93,8 +96,7 @@ TEST_F(ColumnarParity, DictionaryCodesStableAcrossThreadCounts) {
       columnar::load_ras_table(path("ras.csv"), *machine_, parallel);
   EXPECT_EQ(ra.message_dict.names(), rb.message_dict.names());
   EXPECT_EQ(ra.message_code, rb.message_code);
-  EXPECT_EQ(ra.location_dict.names(), rb.location_dict.names());
-  EXPECT_EQ(ra.location_code, rb.location_code);
+  EXPECT_EQ(ra.location, rb.location);
 }
 
 TEST_F(ColumnarParity, DictionaryRoundTripsAgainstRowStrings) {
@@ -168,6 +170,83 @@ TEST_F(ColumnarParity, ThirtyTwoBitOverflowFailsLikeRowPathWithSameCounters) {
       path("io.csv"), "999999,1,1,0.5,0.5,4294967296,1",
       [](const std::string& f) { iolog::IoLog::read_csv(f); },
       [](const std::string& f) { columnar::load_io_table(f); });
+}
+
+// Row order among equal sort keys. RasLog and TaskLog accept duplicate
+// keys, so both engines must agree on where duplicates go: each keeps
+// file order among equal keys. One record with a later key comes first
+// in the file, so both engines have to sort.
+
+/// Writes `header` and `rows` to a fresh CSV file; returns its path.
+std::string write_csv_file(const char* name, const std::string& header,
+                           const std::vector<std::string>& rows) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            (std::string("failmine_row_order_") + name + "_" +
+                             std::to_string(::getpid()) + ".csv"))
+                               .string();
+  std::ofstream out(path);
+  out << header << "\n";
+  for (const std::string& row : rows) out << row << "\n";
+  return path;
+}
+
+/// Thread counts and chunk sizes the loaders run at: the serial readers
+/// and one chunk, then many small chunks on 4 workers.
+std::vector<ingest::LoadOptions> row_order_options() {
+  ingest::LoadOptions serial;
+  serial.threads = 1;
+  ingest::LoadOptions parallel;
+  parallel.threads = 4;
+  parallel.min_chunk_bytes = 64;
+  return {serial, parallel};
+}
+
+TEST(ColumnarRowOrder, RasEqualKeysKeepFileOrderInBothEngines) {
+  const topology::MachineConfig machine = topology::MachineConfig::mira();
+  std::vector<std::string> rows = {
+      "8,2013-04-09 00:00:10,00040020,INFO,MC,SOFTWARE,R00,,later key"};
+  for (int i = 0; i < 40; ++i)
+    rows.push_back("7,2013-04-09 00:00:00,00040020,WARN,MC,SOFTWARE,R00-M" +
+                   std::to_string(i % 2) + ",,duplicate " + std::to_string(i));
+  const std::string path = write_csv_file(
+      "ras",
+      "record_id,timestamp,message_id,severity,component,category,location,"
+      "job_id,text",
+      rows);
+  for (const ingest::LoadOptions& options : row_order_options()) {
+    const raslog::RasLog log =
+        raslog::RasLog::read_csv(path, machine, options);
+    const columnar::RasTable table =
+        columnar::load_ras_table(path, machine, options);
+    ASSERT_EQ(log.size(), 41u);
+    for (std::size_t i = 0; i < 40; ++i)
+      EXPECT_EQ(log.events()[i].text, "duplicate " + std::to_string(i));
+    EXPECT_EQ(table.to_records(), log.events()) << options.threads;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ColumnarRowOrder, TaskEqualKeysKeepFileOrderInBothEngines) {
+  std::vector<std::string> rows = {
+      "1,9,0,2013-04-09 00:00:00,2013-04-09 00:00:05,512,16,0,0"};
+  for (int i = 0; i < 40; ++i)
+    rows.push_back(std::to_string(100 + i) +
+                   ",5,3,2013-04-09 00:00:00,2013-04-09 00:00:0" +
+                   std::to_string(i % 10) + ",512,16,0,0");
+  const std::string path = write_csv_file(
+      "tasks",
+      "task_id,job_id,sequence,start_time,end_time,nodes_used,"
+      "ranks_per_node,exit_code,exit_signal",
+      rows);
+  for (const ingest::LoadOptions& options : row_order_options()) {
+    const tasklog::TaskLog log = tasklog::TaskLog::read_csv(path, options);
+    const columnar::TaskTable table = columnar::load_task_table(path, options);
+    ASSERT_EQ(log.size(), 41u);
+    for (std::size_t i = 0; i < 40; ++i)
+      EXPECT_EQ(log.tasks()[i].task_id, 100 + i);
+    EXPECT_EQ(table.to_records(), log.tasks()) << options.threads;
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

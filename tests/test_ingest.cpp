@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -306,6 +308,98 @@ TEST(IngestCsvFields, UnterminatedQuoteThrows) {
   EXPECT_THROW(util::split_csv_fields("\"abc", fields), ParseError);
 }
 
+// ------------------------------------------------------ scan differential
+
+/// One record as the byte-at-a-time reference sees it.
+struct RefRecord {
+  bool has_quote = false;
+  /// The fields; nullopt when the record's quotes never close.
+  std::optional<std::vector<std::string>> fields;
+};
+
+/// Reference tokenizer: a newline outside quotes ends a record, a '\r'
+/// before it is dropped, and the fields follow RFC 4180.
+std::vector<RefRecord> reference_records(std::string_view data) {
+  std::vector<RefRecord> out;
+  for (std::size_t start = 0; start < data.size();) {
+    std::size_t end = start;
+    bool in_quotes = false;
+    for (; end < data.size(); ++end) {
+      if (data[end] == '"') in_quotes = !in_quotes;
+      if (data[end] == '\n' && !in_quotes) break;
+    }
+    std::string_view record = data.substr(start, end - start);
+    start = end + 1;
+    if (!record.empty() && record.back() == '\r') record.remove_suffix(1);
+    std::vector<std::string> fields(1);
+    in_quotes = false;
+    for (std::size_t k = 0; k < record.size(); ++k) {
+      const char c = record[k];
+      if (c == '"' && in_quotes && k + 1 < record.size() &&
+          record[k + 1] == '"') {
+        fields.back() += '"';
+        ++k;
+      } else if (c == '"') {
+        in_quotes = !in_quotes;
+      } else if (c == ',' && !in_quotes) {
+        fields.emplace_back();
+      } else {
+        fields.back() += c;
+      }
+    }
+    RefRecord r;
+    r.has_quote = record.find('"') != std::string_view::npos;
+    if (!in_quotes) r.fields = std::move(fields);
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+TEST(IngestCursor, MatchesByteReferenceOnRandomBuffers) {
+  // Short buffers over an alphabet weighted toward the bytes that steer
+  // the scan, cut by tiny chunk plans: the cursor's fields (or its
+  // unterminated-quote verdict) and its count of quoted records must
+  // match the reference record by record.
+  const std::string alphabet = ",,,,\"\"\"\r\r\n\n\nabcxy";
+  std::mt19937_64 rng(0x5CA11E57);
+  util::FieldVec fields;
+  for (int iteration = 0; iteration < 20000; ++iteration) {
+    std::string buffer(rng() % 257, ' ');
+    for (char& c : buffer) c = alphabet[rng() % alphabet.size()];
+    const std::vector<RefRecord> want = reference_records(buffer);
+
+    std::vector<RefRecord> got;
+    std::size_t quoted = 0;
+    for (const Chunk& chunk :
+         plan_chunks(buffer, 1 + rng() % 8, 1 + rng() % 32)) {
+      CsvCursor cursor(chunk.data);
+      for (;;) {
+        RefRecord r;
+        try {
+          if (!cursor.next(fields)) break;
+          r.fields = fields_as_strings(fields);
+        } catch (const ParseError&) {
+        }
+        got.push_back(std::move(r));
+      }
+      quoted += cursor.quoted_records();
+    }
+
+    const std::string shown = ::testing::PrintToString(buffer);
+    ASSERT_EQ(got.size(), want.size()) << shown;
+    std::size_t want_quoted = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want_quoted += want[i].has_quote ? 1 : 0;
+      ASSERT_EQ(got[i].fields.has_value(), want[i].fields.has_value())
+          << "record " << i << " of " << shown;
+      if (want[i].fields)
+        ASSERT_EQ(*got[i].fields, *want[i].fields)
+            << "record " << i << " of " << shown;
+    }
+    ASSERT_EQ(quoted, want_quoted) << shown;
+  }
+}
+
 // ----------------------------------------------------------------- loader
 
 struct TestRecord {
@@ -493,6 +587,34 @@ TEST_F(IngestFileTest, FirstBadRowInFileOrderWinsAcrossChunks) {
       EXPECT_EQ(std::string(e.what()), "parse error: record 40 is poisoned");
     }
   }
+}
+
+TEST_F(IngestFileTest, QuotedRecordsAreCounted) {
+  // Every seventh record carries a quote (some with a quoted comma or
+  // newline); ingest.records_quoted counts exactly those records once
+  // per load, for any chunking.
+  std::string content = "id,text\n";
+  std::vector<TestRecord> expected;
+  std::uint64_t quoted = 0;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const std::string id = std::to_string(i);
+    if (i % 7 == 3) {
+      content += id + ",\"q," + id + (i % 2 ? "\n" : "") + "\"\"x\"\"\"\n";
+      expected.push_back({i, "q," + id + (i % 2 ? "\n" : "") + "\"x\""});
+      ++quoted;
+    } else {
+      content += id + ",plain " + id + "\n";
+      expected.push_back({i, "plain " + id});
+    }
+  }
+  write(content);
+  obs::Counter& counter = obs::metrics().counter("ingest.records_quoted");
+  for (unsigned threads : {1u, 4u}) {
+    const std::uint64_t before = counter.value();
+    EXPECT_EQ(load_test(path_, tiny_chunks(threads)), expected);
+    EXPECT_EQ(counter.value() - before, quoted) << "threads=" << threads;
+  }
+  EXPECT_EQ(quoted, 43u);
 }
 
 TEST_F(IngestFileTest, IngestCountersAdvance) {

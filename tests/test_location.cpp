@@ -38,6 +38,85 @@ TEST(Location, ParseRejectsOutOfMachineComponents) {
                failmine::DomainError);
 }
 
+TEST(Location, ParseRejectionsKeepTheirErrorTexts) {
+  // The exception type and the exact what() of every rejection, empty
+  // and trailing parts included.
+  enum class Kind { kParse, kDomain };
+  struct Case {
+    const char* code;
+    Kind kind;
+    const char* what;
+  };
+  const Case cases[] = {
+      {"", Kind::kParse, "parse error: empty location string"},
+      {"X00", Kind::kParse, "parse error: bad rack component 'X00'"},
+      {"R0", Kind::kParse, "parse error: bad rack component 'R0'"},
+      {"R00-Mx", Kind::kParse, "parse error: bad midplane component 'Mx'"},
+      {"R00-M0-N1", Kind::kParse, "parse error: bad location component 'N1'"},
+      {"R00-M0-N01-J02-C03-X04", Kind::kParse,
+       "parse error: location has too many components: "
+       "'R00-M0-N01-J02-C03-X04'"},
+      {"R30", Kind::kDomain, "domain error: rack R30 outside machine"},
+      {"R00-M2", Kind::kDomain, "domain error: midplane out of machine range"},
+      {"R00-M0-N16", Kind::kDomain,
+       "domain error: node board out of machine range"},
+      {"R00-M0-N00-J32", Kind::kDomain,
+       "domain error: compute card out of machine range"},
+      {"R00-M0-N00-J00-C16", Kind::kDomain,
+       "domain error: core out of machine range"},
+      {"R17-", Kind::kParse, "parse error: bad midplane component ''"},
+      {"-", Kind::kParse, "parse error: empty location string"},
+      {"R17--M0", Kind::kParse, "parse error: bad midplane component ''"},
+      {"R1G", Kind::kParse, "parse error: bad hex digit 'G' in location"},
+      {"R00-M0-N00-J00-C00-", Kind::kParse,
+       "parse error: location has too many components: "
+       "'R00-M0-N00-J00-C00-'"},
+  };
+  for (const Case& c : cases) {
+    try {
+      Location::parse(c.code, kMira);
+      ADD_FAILURE() << "accepted '" << c.code << "'";
+    } catch (const failmine::ParseError& e) {
+      EXPECT_EQ(c.kind, Kind::kParse) << c.code;
+      EXPECT_STREQ(e.what(), c.what) << c.code;
+    } catch (const failmine::DomainError& e) {
+      EXPECT_EQ(c.kind, Kind::kDomain) << c.code;
+      EXPECT_STREQ(e.what(), c.what) << c.code;
+    }
+  }
+}
+
+TEST(Location, EveryMiraCardAndCoreRoundTrips) {
+  // Every rack, midplane, board and card of Mira, then every core of one
+  // card: parse(to_string(loc)) == loc.
+  const auto round_trips = [](const Location& loc) {
+    return Location::parse(loc.to_string(), kMira) == loc;
+  };
+  for (int row = 0; row < kMira.rack_rows; ++row) {
+    for (int column = 0; column < kMira.rack_columns; ++column) {
+      const Location rack = Location::rack(row, column);
+      ASSERT_TRUE(round_trips(rack)) << rack.to_string();
+      for (int m = 0; m < kMira.midplanes_per_rack; ++m) {
+        const Location midplane = rack.with_midplane(m);
+        ASSERT_TRUE(round_trips(midplane)) << midplane.to_string();
+        for (int b = 0; b < kMira.boards_per_midplane; ++b) {
+          const Location board = midplane.with_board(b);
+          ASSERT_TRUE(round_trips(board)) << board.to_string();
+          for (int c = 0; c < kMira.cards_per_board; ++c) {
+            const Location card = board.with_card(c);
+            ASSERT_TRUE(round_trips(card)) << card.to_string();
+          }
+        }
+      }
+    }
+  }
+  const Location card = Location::parse("R2F-M1-N15-J31", kMira);
+  for (int core = 0; core < kMira.cores_per_node; ++core) {
+    const Location loc = card.with_core(core);
+    ASSERT_TRUE(round_trips(loc)) << loc.to_string();
+  }
+}
+
 TEST(Location, HexRackColumnsParse) {
   const Location loc = Location::parse("R2A", kMira);
   EXPECT_EQ(loc.rack_row(), 2);

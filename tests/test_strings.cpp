@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+
 #include "util/error.hpp"
 
 namespace failmine::util {
@@ -17,11 +21,17 @@ TEST(Strings, TrimRemovesSurroundingWhitespace) {
   EXPECT_EQ(trim(" a b "), "a b");
 }
 
-TEST(Strings, SplitKeepsEmptyFields) {
-  EXPECT_EQ(split("a-b-c", '-'), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split("--", '-'), (std::vector<std::string>{"", "", ""}));
-  EXPECT_EQ(split("solo", '-'), (std::vector<std::string>{"solo"}));
-  EXPECT_EQ(split("", '-'), (std::vector<std::string>{""}));
+TEST(Strings, TrimStripsExactlyTheCLocaleSpaces) {
+  // trim tests bytes itself; it must agree with std::isspace in the "C"
+  // locale on every byte value.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const std::string padded = std::string(1, c) + "x" + std::string(1, c);
+    const std::string_view expected = std::isspace(b) != 0
+                                          ? std::string_view("x")
+                                          : std::string_view(padded);
+    EXPECT_EQ(trim(padded), expected) << "byte " << b;
+  }
 }
 
 TEST(Strings, ToLower) {
