@@ -153,11 +153,18 @@ Erlang fit_erlang(std::span<const double> sample, int k_max) {
   require_positive(sample, "fit_erlang");
   if (k_max < 1) throw failmine::DomainError("fit_erlang requires k_max >= 1");
   const double m = stats::mean(sample);
+  const double n = static_cast<double>(sample.size());
+  double sum_log = 0.0;
+  for (double x : sample) sum_log += std::log(x);
+  // With rate k/m the rate term sums to k*n, so the profile log-likelihood
+  // is n k log(k/m) + (k-1) sum(log x) - k n - n lgamma(k): one pass over
+  // the sample, then O(k_max).
   double best_ll = -std::numeric_limits<double>::infinity();
   int best_k = 1;
   for (int k = 1; k <= k_max; ++k) {
-    const Erlang candidate(k, static_cast<double>(k) / m);
-    const double ll = candidate.log_likelihood(sample);
+    const double kd = static_cast<double>(k);
+    const double ll = n * kd * std::log(kd / m) + (kd - 1.0) * sum_log -
+                      kd * n - n * std::lgamma(kd);
     if (ll > best_ll) {
       best_ll = ll;
       best_k = k;

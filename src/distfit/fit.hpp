@@ -5,7 +5,7 @@
 // All fitters require strictly positive samples (runtimes, intervals)
 // except fit_normal, and throw DomainError on violations. Closed forms are
 // used where they exist; Weibull and Gamma use Newton iterations on the
-// profile-likelihood equations.
+// profile-likelihood equations, and Erlang scans a closed-form profile.
 
 #pragma once
 
@@ -43,7 +43,9 @@ LogNormal fit_lognormal(std::span<const double> sample);
 GammaDist fit_gamma(std::span<const double> sample);
 
 /// Profile MLE over integer k in [1, k_max], rate = k / mean for each k;
-/// picks the k with the highest likelihood.
+/// picks the k with the highest likelihood (the smallest on ties). The
+/// profile is closed-form, n k log(k/m) + (k-1) sum(log x) - k n
+/// - n lgamma(k), so the cost is one pass over the sample plus O(k_max).
 Erlang fit_erlang(std::span<const double> sample, int k_max = 50);
 
 /// MLE: mu = mean, 1/lambda = (1/n) sum (1/x - 1/mu).

@@ -1,5 +1,6 @@
 #include "distfit/loglogistic.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -73,20 +74,25 @@ LogLogistic fit_loglogistic(std::span<const double> sample) {
     throw failmine::DomainError("fit_loglogistic requires non-constant values");
   const double beta0 = std::numbers::pi / (sd * std::sqrt(3.0));
 
-  // Optimize in log-parameter space so positivity is built in.
+  // Optimize in log-parameter space so positivity is built in. With
+  // y = log x - log alpha, log pdf = log beta - log alpha + (beta-1) y
+  // - 2 softplus(beta y), so the sum of the linear terms is closed-form
+  // and each point costs one exp and one log1p.
+  double sum_log = 0.0;
+  for (double l : logs) sum_log += l;
+  const double n = static_cast<double>(logs.size());
   const auto neg_log_lik = [&](const std::vector<double>& p) {
     const double alpha = std::exp(p[0]);
     const double beta = std::exp(p[1]);
     if (!std::isfinite(alpha) || !std::isfinite(beta) || alpha <= 0 || beta <= 0)
       return std::numeric_limits<double>::infinity();
-    const LogLogistic candidate(alpha, beta);
-    double nll = 0.0;
-    for (double x : sample) {
-      const double d = candidate.pdf(x);
-      if (d <= 0) return std::numeric_limits<double>::infinity();
-      nll -= std::log(d);
+    double softplus = 0.0;
+    for (double l : logs) {
+      const double z = beta * (l - p[0]);
+      softplus += std::max(z, 0.0) + std::log1p(std::exp(-std::fabs(z)));
     }
-    return nll;
+    return 2.0 * softplus - (beta - 1.0) * (sum_log - n * p[0]) -
+           n * (p[1] - p[0]);
   };
   const auto result = nelder_mead(neg_log_lik, {mu, std::log(beta0)});
   return LogLogistic(std::exp(result.x[0]), std::exp(result.x[1]));

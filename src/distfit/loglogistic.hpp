@@ -38,7 +38,8 @@ class LogLogistic final : public Distribution {
   double beta_;
 };
 
-/// MLE via Nelder-Mead on the negative log-likelihood (no closed form).
+/// MLE via Nelder-Mead on the negative log-likelihood (no closed form),
+/// evaluated in log space from the logs of the sample.
 LogLogistic fit_loglogistic(std::span<const double> sample);
 
 }  // namespace failmine::distfit

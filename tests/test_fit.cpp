@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
+#include "core/distfit_study.hpp"
+#include "core/joint_analyzer.hpp"
+#include "sim/simulator.hpp"
+#include "stats/summary.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -183,6 +188,72 @@ TEST(Fitters, ParetoRejectsConstantSample) {
 TEST(Fitters, ErlangValidatesKMax) {
   EXPECT_THROW(fit_erlang(std::vector<double>{1.0, 2.0}, 0),
                failmine::DomainError);
+}
+
+// The k in [1, k_max] maximizing Erlang(k, k / mean).log_likelihood, the
+// first on ties: the profile fit_erlang evaluates in closed form.
+int brute_force_erlang_k(std::span<const double> sample, int k_max = 50) {
+  const double m = stats::mean(sample);
+  double best_ll = -std::numeric_limits<double>::infinity();
+  int best_k = 1;
+  for (int k = 1; k <= k_max; ++k) {
+    const double ll =
+        Erlang(k, static_cast<double>(k) / m).log_likelihood(sample);
+    if (ll > best_ll) {
+      best_ll = ll;
+      best_k = k;
+    }
+  }
+  return best_k;
+}
+
+TEST(Fitters, ErlangProfileMatchesBruteForceOnGammaSamples) {
+  // Log-uniform shape in [0.05, 60], scale in [e^-5, e^15], size in [2, 3000].
+  util::Rng rng(20190624);
+  for (int i = 0; i < 1000; ++i) {
+    const double shape = std::exp(rng.uniform(std::log(0.05), std::log(60.0)));
+    const double scale = std::exp(rng.uniform(-5.0, 15.0));
+    const auto n = static_cast<std::size_t>(
+        std::exp(rng.uniform(std::log(2.0), std::log(3001.0))));
+    std::vector<double> sample(n);
+    for (double& x : sample) {
+      do x = rng.gamma(shape, scale);
+      while (!(x > 0));
+    }
+    ASSERT_EQ(fit_erlang(sample).k(), brute_force_erlang_k(sample))
+        << "sample " << i << ": shape " << shape << ", scale " << scale
+        << ", n " << n;
+  }
+}
+
+TEST(Fitters, ErlangProfileMatchesBruteForceOnTheTestScaleTwin) {
+  // Every failure class's runtimes (E05), the joint system-failure sample
+  // (T-C4) and the filtered interruption intervals (E13, T-C5).
+  const sim::SimConfig config = sim::SimConfig::test_scale();
+  const auto twin = sim::simulate(config);
+  const core::JointAnalyzer analyzer(twin.job_log, twin.task_log,
+                                     twin.ras_log, twin.io_log, config.machine);
+  std::vector<std::vector<double>> samples;
+  std::vector<double> system;
+  for (const joblog::ExitClass cls : joblog::kAllExitClasses) {
+    if (!joblog::is_failure(cls)) continue;
+    samples.push_back(core::runtime_sample(twin.job_log, cls));
+    if (cls == joblog::ExitClass::kSystemHardware ||
+        cls == joblog::ExitClass::kSystemSoftware ||
+        cls == joblog::ExitClass::kSystemIo)
+      system.insert(system.end(), samples.back().begin(), samples.back().end());
+  }
+  samples.push_back(system);
+  samples.push_back(
+      analyzer.interruption_analysis(core::FilterConfig{}).mtti.intervals_days);
+  int fitted = 0;
+  for (const auto& sample : samples) {
+    if (sample.size() < 2) continue;
+    EXPECT_EQ(fit_erlang(sample).k(), brute_force_erlang_k(sample))
+        << "sample of " << sample.size();
+    ++fitted;
+  }
+  EXPECT_GE(fitted, 5);
 }
 
 TEST(Fitters, FittedLikelihoodBeatsPerturbedParameters) {
