@@ -14,6 +14,12 @@
 // operator downstream (interruption clustering, rolling windows) sees
 // the same stream a batch pass over the sorted log would.
 //
+// The heap orders keys, not records: a buffered record is moved once
+// into a slot of an arena (freed slots are reused through a free list),
+// and the heap holds 24-byte {time, sequence, slot} keys. Releasing pops
+// the key and moves the record out of its slot, so a sift never moves a
+// record and a release never copies one.
+//
 // A record arriving with an event time already behind the watermark
 // violated the bound. It is counted as late and still released
 // immediately (analytics prefer a slightly misordered record over a
@@ -22,8 +28,8 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "stream/record.hpp"
@@ -50,22 +56,28 @@ class WatermarkReorderer {
     }
     if (record.time < watermark()) ++late_records_;
     if (lateness_ == 0 && heap_.empty()) {
-      ++released_records_;
       emit(std::move(record));  // in-order fast path: nothing can overtake
       return;
     }
-    heap_.push(std::move(record));
-    drain(watermark(), emit);
+    Key key{record.time, record.sequence, 0};
+    if (free_.empty()) {
+      key.slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(std::move(record));
+    } else {
+      key.slot = free_.back();
+      free_.pop_back();
+      slots_[key.slot] = std::move(record);
+    }
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), ReleasesLater{});
+    const util::UnixSeconds frontier = watermark();
+    while (!heap_.empty() && heap_.front().time < frontier) release(emit);
   }
 
   /// Releases everything still buffered (end of stream).
   template <typename Emit>
   void flush(Emit&& emit) {
-    while (!heap_.empty()) {
-      ++released_records_;
-      emit(StreamRecord(heap_.top()));
-      heap_.pop();
-    }
+    while (!heap_.empty()) release(emit);
   }
 
   /// Newest event time seen minus the lateness bound (the frontier up to
@@ -79,40 +91,45 @@ class WatermarkReorderer {
   /// Seconds of event time currently held back (newest seen minus the
   /// oldest buffered record) — the `stream.watermark_lag_s` gauge.
   std::int64_t lag_seconds() const {
-    return heap_.empty() ? 0 : max_seen_ - heap_.top().time;
+    return heap_.empty() ? 0 : max_seen_ - heap_.front().time;
   }
 
   std::uint64_t late_records() const { return late_records_; }
-  /// Records handed downstream so far; arrivals minus released is what
-  /// the reorder heap currently holds back (`stream.reorder.buffered`).
-  std::uint64_t released_records() const { return released_records_; }
   std::size_t buffered() const { return heap_.size(); }
   std::int64_t max_lateness_seconds() const { return lateness_; }
 
  private:
+  /// A buffered record's release key and the arena slot holding it.
+  struct Key {
+    util::UnixSeconds time;
+    std::uint64_t sequence;
+    std::uint32_t slot;
+  };
+
   struct ReleasesLater {
-    bool operator()(const StreamRecord& a, const StreamRecord& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.sequence > b.sequence;
     }
   };
 
+  /// Pops the earliest key and hands its record downstream.
   template <typename Emit>
-  void drain(util::UnixSeconds frontier, Emit&& emit) {
-    while (!heap_.empty() && heap_.top().time < frontier) {
-      ++released_records_;
-      emit(StreamRecord(heap_.top()));
-      heap_.pop();
-    }
+  void release(Emit& emit) {
+    std::pop_heap(heap_.begin(), heap_.end(), ReleasesLater{});
+    const std::uint32_t slot = heap_.back().slot;
+    heap_.pop_back();
+    free_.push_back(slot);
+    emit(std::move(slots_[slot]));
   }
 
   const std::int64_t lateness_;
-  std::priority_queue<StreamRecord, std::vector<StreamRecord>, ReleasesLater>
-      heap_;
+  std::vector<Key> heap_;            ///< min-heap by (time, sequence)
+  std::vector<StreamRecord> slots_;  ///< buffered records, by slot
+  std::vector<std::uint32_t> free_;  ///< slots free for reuse
   util::UnixSeconds max_seen_ = 0;
   bool seen_any_ = false;
   std::uint64_t late_records_ = 0;
-  std::uint64_t released_records_ = 0;
 };
 
 }  // namespace failmine::stream

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -108,6 +111,107 @@ TEST(Replay, ZeroSkewShuffleIsIdentity) {
 
 TEST(Replay, NegativeSkewThrows) {
   EXPECT_THROW(shuffled_replay(trace(), -1, 0), DomainError);
+}
+
+// ---- build_replay / shuffled_replay against a plain specification -------
+
+/// The replay as a specification: every record of the four logs, appended
+/// log by log, stable-sorted by (event time, source, per-source id), with
+/// sequence numbers in that order.
+std::vector<stream::StreamRecord> reference_replay(const SimResult& result) {
+  std::vector<stream::StreamRecord> out;
+  std::unordered_map<std::uint64_t, util::UnixSeconds> job_end;
+  for (const auto& job : result.job_log.jobs()) {
+    job_end[job.job_id] = job.end_time;
+    out.push_back({job.end_time, 0, job});
+  }
+  for (const auto& task : result.task_log.tasks())
+    out.push_back({task.end_time, 0, task});
+  for (const auto& event : result.ras_log.events())
+    out.push_back({event.timestamp, 0, event});
+  for (const auto& io : result.io_log.records())
+    out.push_back({job_end.at(io.job_id), 0, io});
+  const auto id = [](const stream::StreamRecord& r) -> std::uint64_t {
+    switch (r.source()) {
+      case stream::RecordSource::kJob:
+        return std::get<joblog::JobRecord>(r.payload).job_id;
+      case stream::RecordSource::kTask:
+        return std::get<tasklog::TaskRecord>(r.payload).task_id;
+      case stream::RecordSource::kRas:
+        return std::get<raslog::RasEvent>(r.payload).record_id;
+      case stream::RecordSource::kIo:
+        return std::get<iolog::IoRecord>(r.payload).job_id;
+    }
+    return 0;
+  };
+  std::stable_sort(out.begin(), out.end(), [&](const auto& a, const auto& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.payload.index() != b.payload.index())
+      return a.payload.index() < b.payload.index();
+    return id(a) < id(b);
+  });
+  for (std::size_t i = 0; i < out.size(); ++i) out[i].sequence = i;
+  return out;
+}
+
+/// The reference order re-sorted by (arrival, sequence), arrival being
+/// event time plus one mt19937_64 draw per record in sequence order.
+std::vector<stream::StreamRecord> reference_shuffle(
+    const std::vector<stream::StreamRecord>& ordered, std::int64_t skew,
+    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::uint64_t span = 2 * static_cast<std::uint64_t>(skew) + 1;
+  std::vector<std::pair<std::int64_t, std::uint64_t>> arrivals;
+  for (const auto& r : ordered)
+    arrivals.emplace_back(
+        r.time + static_cast<std::int64_t>(rng() % span) - skew, r.sequence);
+  std::sort(arrivals.begin(), arrivals.end());
+  std::vector<stream::StreamRecord> out;
+  for (const auto& [arrival, sequence] : arrivals)
+    out.push_back(ordered[sequence]);
+  return out;
+}
+
+void expect_same_records(const std::vector<stream::StreamRecord>& got,
+                         const std::vector<stream::StreamRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].time, want[i].time) << "record " << i;
+    ASSERT_EQ(got[i].sequence, want[i].sequence) << "record " << i;
+    ASSERT_TRUE(got[i].payload == want[i].payload) << "record " << i;
+  }
+}
+
+TEST(Replay, BuildMatchesStableSortReference) {
+  expect_same_records(build_replay(trace()), reference_replay(trace()));
+}
+
+TEST(Replay, ShuffleMatchesReferenceShuffle) {
+  expect_same_records(shuffled_replay(trace(), 600, 42),
+                      reference_shuffle(reference_replay(trace()), 600, 42));
+}
+
+TEST(Replay, EqualKeysReplayInLogOrder) {
+  // RAS events equal in timestamp and record id, more of them than an
+  // unstable sort leaves in place: RasLog keeps their append order, and
+  // the replay must keep the log's order.
+  std::vector<raslog::RasEvent> events(40);
+  std::vector<std::string> log_order;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].record_id = 7;
+    events[i].timestamp = 1000;
+    events[i].text = "event " + std::to_string(i * 17 % events.size());
+    log_order.push_back(events[i].text);
+  }
+  SimResult result;
+  result.ras_log = raslog::RasLog(std::move(events));
+  for (const auto& records :
+       {build_replay(result), shuffled_replay(result, 0, 1)}) {
+    std::vector<std::string> texts;
+    for (const auto& r : records)
+      texts.push_back(std::get<raslog::RasEvent>(r.payload).text);
+    EXPECT_EQ(texts, log_order);
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stream/watermark.hpp"
@@ -187,6 +190,106 @@ TEST(Watermark, LagTracksHeldBackSpan) {
   EXPECT_EQ(r.lag_seconds(), 50);  // 1000 is still buffered
   EXPECT_EQ(r.watermark(), 950);
   EXPECT_EQ(r.buffered(), 2u);
+}
+
+// ---- WatermarkReorderer against a reference model ----------------------
+
+/// (event time, sequence): the order records must be released in.
+using ReleaseKey = std::pair<util::UnixSeconds, std::uint64_t>;
+
+/// The reorderer's contract in its plainest form: a buffer kept sorted by
+/// (time, sequence) and released from the front once the watermark passes,
+/// with the same late rule and the same lateness-0 pass-through.
+struct ReferenceReorderer {
+  std::int64_t lateness;
+  std::vector<ReleaseKey> buffer;
+  util::UnixSeconds newest = 0;
+  bool seen = false;
+  std::uint64_t late = 0;
+
+  util::UnixSeconds watermark() const { return seen ? newest - lateness : 0; }
+  std::int64_t lag() const {
+    return buffer.empty() ? 0 : newest - buffer.front().first;
+  }
+  void push(ReleaseKey key, std::vector<ReleaseKey>& out) {
+    if (!seen || key.first > newest) newest = key.first;
+    seen = true;
+    if (key.first < watermark()) ++late;
+    if (lateness == 0 && buffer.empty()) return out.push_back(key);
+    buffer.insert(std::upper_bound(buffer.begin(), buffer.end(), key), key);
+    while (!buffer.empty() && buffer.front().first < watermark()) {
+      out.push_back(buffer.front());
+      buffer.erase(buffer.begin());
+    }
+  }
+  void flush(std::vector<ReleaseKey>& out) {
+    out.insert(out.end(), buffer.begin(), buffer.end());
+    buffer.clear();
+  }
+};
+
+/// Longer than any small-string buffer, so a moved-from copy reads empty.
+std::string text_of(std::uint64_t sequence) {
+  return "ras text of replayed record #" + std::to_string(sequence);
+}
+
+TEST(Watermark, MatchesReferenceModelOnSeededStreams) {
+  std::size_t streams_with_late = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const std::uint64_t n = rng() % 5001;
+    const auto skew = static_cast<std::int64_t>(rng() % 101);
+    const auto lateness = static_cast<std::int64_t>(rng() % (3 * skew + 1));
+
+    // Event times in sequence order, three in four shared with the
+    // previous record; arrival = event time + uniform skew in
+    // [-skew, +skew].
+    std::vector<std::pair<std::int64_t, ReleaseKey>> arrivals;
+    util::UnixSeconds time = 1'000'000;
+    for (std::uint64_t seq = 0; seq < n; ++seq) {
+      if (rng() % 4 == 0) time += static_cast<util::UnixSeconds>(rng() % 5);
+      const auto jitter =
+          static_cast<std::int64_t>(rng() % (2 * skew + 1)) - skew;
+      arrivals.push_back({time + jitter, {time, seq}});
+    }
+    std::sort(arrivals.begin(), arrivals.end());
+
+    WatermarkReorderer reorderer(lateness);
+    ReferenceReorderer reference{lateness, {}};
+    std::vector<ReleaseKey> got;
+    std::vector<ReleaseKey> want;
+    auto emit = [&](StreamRecord&& record) {
+      const auto& event = std::get<raslog::RasEvent>(record.payload);
+      ASSERT_EQ(event.text, text_of(record.sequence));
+      ASSERT_EQ(event.timestamp, record.time);
+      got.emplace_back(record.time, record.sequence);
+    };
+    auto expect_same_state = [&] {
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(reorderer.late_records(), reference.late);
+      ASSERT_EQ(reorderer.buffered(), reference.buffer.size());
+      ASSERT_EQ(reorderer.lag_seconds(), reference.lag());
+      ASSERT_EQ(reorderer.watermark(), reference.watermark());
+    };
+    for (const auto& [arrival, key] : arrivals) {
+      StreamRecord record = ras_at(key.first, key.second);
+      std::get<raslog::RasEvent>(record.payload).text = text_of(key.second);
+      reorderer.push(std::move(record), emit);
+      reference.push(key, want);
+      ASSERT_NO_FATAL_FAILURE(expect_same_state());
+    }
+    reorderer.flush(emit);
+    reference.flush(want);
+    ASSERT_NO_FATAL_FAILURE(expect_same_state());
+    ASSERT_EQ(got.size(), n);
+    if (lateness >= 2 * skew) {
+      EXPECT_EQ(reorderer.late_records(), 0u);
+    }
+    if (reorderer.late_records() > 0) ++streams_with_late;
+  }
+  // The streams cover both sides of the 2*skew bound.
+  EXPECT_GE(streams_with_late, 20u);
 }
 
 }  // namespace
