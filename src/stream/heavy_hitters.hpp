@@ -19,12 +19,19 @@
 // key missing from one side could have accumulated at most that side's
 // minimum count, which is added to the error bound; the result is
 // truncated back to capacity.
+//
+// The monitored entries live in one vector ordered as a binary min-heap
+// by count, the larger key first on ties, so the root is always the
+// eviction victim. A flat open-addressing table maps each key to its heap
+// position, and every heap node names its table slot back, so a sift
+// updates positions without hashing. A hit adds its weight and sifts the
+// entry down; an eviction overwrites the root and restores the heap:
+// O(log m) either way, with no allocation once the summary is full.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace failmine::stream {
@@ -51,28 +58,55 @@ class SpaceSavingSketch {
   /// Point lookup of one monitored key (nullopt when unmonitored — i.e.
   /// its true weight is at most error_bound()).
   std::optional<Entry> find(std::uint64_t key) const {
-    const auto it = counts_.find(key);
-    if (it == counts_.end()) return std::nullopt;
-    return it->second;
+    const std::uint32_t slot = slot_of(key);
+    if (index_[slot].node == kEmpty) return std::nullopt;
+    return heap_[index_[slot].node].entry;
   }
 
   void merge(const SpaceSavingSketch& other);
 
   std::uint64_t total_weight() const { return total_weight_; }
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return counts_.size(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Worst-case over-estimation of any reported count (n/m, or the
   /// accumulated bound after merges).
   std::uint64_t error_bound() const;
 
  private:
-  void evict_and_insert(std::uint64_t key, std::uint64_t weight);
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+  struct Node {
+    Entry entry;
+    std::uint32_t slot = 0;  ///< index_ slot holding this entry's key
+  };
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t node = kEmpty;  ///< heap position, kEmpty when free
+  };
+
+  /// Fibonacci hash of `key` onto the index: its first probe.
+  std::size_t home_of(std::uint64_t key) const;
+  /// The slot holding `key`, or the free slot where it would go.
+  std::uint32_t slot_of(std::uint64_t key) const;
+  void place(std::size_t pos, Node node);
+  /// The child of `pos` that evicts first (`pos` must have a child).
+  std::size_t first_child(std::size_t pos) const;
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
+  /// Overwrites the root (the evicted entry) with `node` and restores
+  /// the heap.
+  void replace_root(Node node);
+  void erase_slot(std::uint32_t slot);
+  /// Re-heaps `entries` and rebuilds the index from scratch.
+  void rebuild(const std::vector<Entry>& entries);
 
   std::size_t capacity_;
   std::uint64_t total_weight_ = 0;
   std::uint64_t merged_error_floor_ = 0;
-  std::unordered_map<std::uint64_t, Entry> counts_;
+  std::vector<Node> heap_;    ///< min-heap: smallest count, larger key
+  std::vector<Slot> index_;   ///< linear probing, power-of-two size
+  unsigned shift_ = 0;        ///< 64 - log2(index_.size())
 };
 
 }  // namespace failmine::stream

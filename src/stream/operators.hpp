@@ -42,7 +42,9 @@ namespace failmine::stream {
 /// index (event_time / bucket_seconds), so expiry needs no per-record
 /// bookkeeping — a slot is lazily reset when its index is reclaimed.
 /// `Columns` independent counts are kept per bucket (exit classes,
-/// severities, ...).
+/// severities, ...). The newest bucket's index, time range and slot are
+/// kept, so a record inside that range (most of an ordered stream) skips
+/// the divisions.
 template <std::size_t Columns>
 class RollingWindow {
  public:
@@ -50,8 +52,19 @@ class RollingWindow {
       : bucket_seconds_(bucket_seconds), buckets_(bucket_count) {}
 
   void add(util::UnixSeconds t, std::size_t column, std::uint64_t n = 1) {
-    const std::int64_t idx = bucket_index(t);
-    Bucket& b = buckets_[slot(idx)];
+    std::int64_t idx = newest_index_;
+    std::size_t at = newest_slot_;
+    if (t < newest_start_ || t >= newest_end_) {
+      idx = bucket_index(t);
+      at = slot(idx);
+      if (idx > newest_index_) {
+        newest_index_ = idx;
+        newest_slot_ = at;
+        newest_start_ = idx * bucket_seconds_;
+        newest_end_ = newest_start_ + bucket_seconds_;
+      }
+    }
+    Bucket& b = buckets_[at];
     if (b.index != idx) {
       b.index = idx;
       b.counts.fill(0);
@@ -97,6 +110,11 @@ class RollingWindow {
 
   std::int64_t bucket_seconds_;
   std::vector<Bucket> buckets_;
+  /// The newest bucket added to; [start, end) is empty before the first.
+  std::int64_t newest_index_ = std::numeric_limits<std::int64_t>::min();
+  std::size_t newest_slot_ = 0;
+  util::UnixSeconds newest_start_ = 0;
+  util::UnixSeconds newest_end_ = 0;
 };
 
 /// Streaming E07/E08: single-pass similarity clustering of FATAL (or

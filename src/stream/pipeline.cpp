@@ -162,8 +162,8 @@ std::size_t StreamPipeline::push_batch(std::vector<StreamRecord>&& records) {
   return accepted;
 }
 
-void StreamPipeline::route_ordered(
-    StreamRecord&& record, std::vector<std::vector<StreamRecord>>& pending) {
+void StreamPipeline::route(const StreamRecord& record, std::size_t row,
+                           ShardRows& rows) {
   // Caller holds router_mutex_: the record arrives here in watermark
   // order, so the order-sensitive operators see the sorted stream.
   switch (record.source()) {
@@ -189,41 +189,93 @@ void StreamPipeline::route_ordered(
   if (config_.router_operator) config_.router_operator->observe(record);
   if (record.trace != 0)
     obs::causal_tracer().stamp(record.trace, kCausalReorder);
-  const std::size_t shard = shard_of(record, shards_.size());
-  pending[shard].push_back(std::move(record));
+  rows[shard_of(record, shards_.size())].push_back(
+      static_cast<std::uint32_t>(row));
 }
 
-void StreamPipeline::dispatch(std::vector<std::vector<StreamRecord>>& pending,
-                              bool force) {
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (pending[i].empty()) continue;
-    if (!force && pending[i].size() < config_.dispatch_batch) continue;
-    // Shard queues block, so every accepted record reaches its worker.
-    shards_[i]->queue.push_batch(std::move(pending[i]));
+std::shared_ptr<std::vector<StreamRecord>> StreamPipeline::new_routed_batch() {
+  return std::shared_ptr<std::vector<StreamRecord>>(
+      new std::vector<StreamRecord>(), [this](std::vector<StreamRecord>* batch) {
+        const std::size_t n = batch->size();
+        delete batch;
+        {
+          std::lock_guard<std::mutex> lock(routed_mutex_);
+          routed_records_ -= n;
+        }
+        routed_cv_.notify_one();
+      });
+}
+
+void StreamPipeline::hand_off(
+    std::shared_ptr<const std::vector<StreamRecord>> batch, ShardRows& rows) {
+  {
+    std::lock_guard<std::mutex> lock(routed_mutex_);
+    routed_records_ += batch->size();
+  }
+  // The last slice takes the router's reference, so the batch is freed
+  // by the shard that finishes it last, never by the router.
+  std::size_t last = rows.size();
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    if (!rows[i].empty()) last = i;
+  const std::size_t step = config_.dispatch_batch;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::vector<std::uint32_t>& mine = rows[i];
+    for (std::size_t begin = 0; begin < mine.size(); begin += step) {
+      const std::size_t end = std::min(mine.size(), begin + step);
+      RowSlice slice;
+      slice.records = i == last && end == mine.size() ? std::move(batch) : batch;
+      slice.rows.assign(mine.begin() + static_cast<std::ptrdiff_t>(begin),
+                        mine.begin() + static_cast<std::ptrdiff_t>(end));
+      // Shard queues block, so every accepted record reaches its worker.
+      shards_[i]->queue.push_batch(std::move(slice));
+    }
+    rows[i].clear();
   }
 }
 
 void StreamPipeline::router_loop() {
   name_and_attach("fm.router");
   WatermarkReorderer reorderer(config_.max_lateness_seconds);
-  std::vector<std::vector<StreamRecord>> pending(shards_.size());
-  std::vector<StreamRecord> batch;
-  batch.reserve(config_.dispatch_batch);
+  ShardRows rows(shards_.size());
+  // The batch being routed; a record the reorderer releases moves into
+  // it and is routed from there.
+  std::shared_ptr<std::vector<StreamRecord>> routed;
+  auto release = [&](StreamRecord&& ordered) {
+    routed->push_back(std::move(ordered));
+    route(routed->back(), routed->size() - 1, rows);
+  };
 
   for (;;) {
-    batch.clear();
-    const std::size_t n = ingest_.pop_batch(batch, config_.dispatch_batch);
+    {
+      std::unique_lock<std::mutex> lock(routed_mutex_);
+      routed_cv_.wait(
+          lock, [&] { return routed_records_ < config_.queue_capacity; });
+    }
+    std::vector<StreamRecord> arrivals;
+    const std::size_t n = ingest_.pop_batch(arrivals, ingest_.capacity());
     if (n == 0) break;  // closed and drained
     const auto batch_start = std::chrono::steady_clock::now();
+    routed = new_routed_batch();
     {
       FAILMINE_TRACE_SPAN("stream.router.batch");
       std::lock_guard<std::mutex> lock(router_mutex_);
-      for (StreamRecord& record : batch) {
-        if (record.trace != 0)
-          obs::causal_tracer().stamp(record.trace, kCausalRing);
-        reorderer.push(std::move(record), [&](StreamRecord&& ordered) {
-          route_ordered(std::move(ordered), pending);
-        });
+      if (reorderer.passes_through()) {
+        // In order already: route the popped batch where it lies.
+        *routed = std::move(arrivals);
+        for (std::size_t row = 0; row < routed->size(); ++row) {
+          const StreamRecord& record = (*routed)[row];
+          if (record.trace != 0)
+            obs::causal_tracer().stamp(record.trace, kCausalRing);
+          reorderer.observe(record);
+          route(record, row, rows);
+        }
+      } else {
+        routed->reserve(n);
+        for (StreamRecord& record : arrivals) {
+          if (record.trace != 0)
+            obs::causal_tracer().stamp(record.trace, kCausalRing);
+          reorderer.push(std::move(record), release);
+        }
       }
       router_.newest_seen = reorderer.newest_seen();
       router_.watermark = reorderer.watermark();
@@ -243,7 +295,7 @@ void StreamPipeline::router_loop() {
       inst_.window_fatal->set(static_cast<double>(
           router_.severity_window.totals(router_.newest_seen)[2]));
     }
-    dispatch(pending, /*force=*/false);
+    hand_off(std::move(routed), rows);
     inst_.router_batch_us->observe(elapsed_us(batch_start));
 
     std::size_t depth = ingest_.size();
@@ -254,16 +306,16 @@ void StreamPipeline::router_loop() {
     inst_.reorder_buffered->set(static_cast<double>(reorderer.buffered()));
   }
 
+  routed = new_routed_batch();
   {
     std::lock_guard<std::mutex> lock(router_mutex_);
-    reorderer.flush([&](StreamRecord&& ordered) {
-      route_ordered(std::move(ordered), pending);
-    });
+    routed->reserve(reorderer.buffered());
+    reorderer.flush(release);
     router_.watermark = reorderer.newest_seen();
     router_.watermark_lag_seconds = 0;
     if (config_.router_operator) config_.router_operator->finish();
   }
-  dispatch(pending, /*force=*/true);
+  hand_off(std::move(routed), rows);
   for (auto& shard : shards_) shard->queue.close();
   inst_.watermark_lag->set(0.0);
   inst_.reorder_buffered->set(0.0);
@@ -273,21 +325,23 @@ void StreamPipeline::worker_loop(Shard& shard, std::size_t index) {
   char name[16];
   std::snprintf(name, sizeof(name), "fm.shard%zu", index);
   name_and_attach(name);
-  std::vector<StreamRecord> batch;
-  batch.reserve(config_.dispatch_batch);
   for (;;) {
     {
       std::unique_lock<std::mutex> pause(shard.pause_mutex);
       shard.pause_cv.wait(pause, [&] { return !shard.paused; });
     }
-    batch.clear();
-    const std::size_t n = shard.queue.pop_batch(batch, config_.dispatch_batch);
+    // Dropped at the end of the iteration: the last slice of a batch to
+    // go frees the batch.
+    RowSlice slice;
+    const std::size_t n = shard.queue.pop_batch(slice, config_.dispatch_batch);
     if (n == 0) break;
     const auto apply_start = std::chrono::steady_clock::now();
     {
       FAILMINE_TRACE_SPAN("stream.shard.apply");
       std::lock_guard<std::mutex> lock(shard.mutex);
-      for (const StreamRecord& record : batch) {
+      const std::vector<StreamRecord>& records = *slice.records;
+      for (const std::uint32_t row : slice.rows) {
+        const StreamRecord& record = records[row];
         if (record.trace != 0)
           obs::causal_tracer().stamp(record.trace, kCausalShard);
         shard.aggregates.apply(record);

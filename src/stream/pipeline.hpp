@@ -5,9 +5,9 @@
 //
 //   producers --> ingest ring --> router thread --> shard queues --> workers
 //                 (bounded,       (watermark         (bounded,       (merge-
-//                  backpressure)   reorder +          block)          able
-//                                  order-sensitive                    aggre-
-//                                  operators)                         gates)
+//                  backpressure;   reorder +          block; row      able
+//                  whole record    order-sensitive    slices of a     aggre-
+//                  batches)        operators)         shared batch)   gates)
 //
 // The router is the single consumer of the ingest ring. It restores
 // bounded out-of-order arrivals to event-time order, runs the
@@ -16,6 +16,21 @@
 // shard worker by stable key (user for jobs, owning job for tasks/IO,
 // location for RAS) for the mergeable per-record work: exit-class
 // accounting, the runtime quantile sketch and the heavy-hitter sketches.
+//
+// Records move as batches that each thread reads in place. The router
+// pops a producer's batch whole. With lateness 0 the popped batch is
+// the routed batch and no record moves; otherwise each record moves
+// into the reorderer once and out once, into the routed batch. The
+// router reads every record by const reference and appends its row
+// index to its shard's list; once the batch is routed it is immutable
+// and shared (std::shared_ptr<const>), and each shard receives
+// `{batch, rows}` slices of at most `dispatch_batch` rows, which it
+// applies in row order — the routed order, so every aggregate is the
+// same as when records were moved one by one. The last slice to let go
+// of a batch frees it, on the shard thread that applied it last. Since a
+// queued row keeps its whole batch alive, the router routes no new batch
+// while the handed-off batches some shard has yet to finish hold
+// `queue_capacity` records or more.
 //
 // snapshot() is safe to call at any time from any thread; it merges the
 // per-shard partials and the router state under their locks, so every
@@ -93,7 +108,10 @@ struct StreamConfig {
   /// router; N partitions it by key hash.
   std::size_t shard_count = 4;
 
-  /// Capacity of the ingest ring and of each shard queue.
+  /// Capacity of the ingest ring (records) and of each shard queue
+  /// (rows, one per record routed to the shard); also the most records
+  /// the routed batches that some shard has yet to finish may hold
+  /// before the router waits.
   std::size_t queue_capacity = 1 << 14;
 
   /// What a full ingest ring does to producers. Shard queues always
@@ -119,7 +137,8 @@ struct StreamConfig {
   /// Monitored-key budget of each space-saving sketch.
   std::size_t heavy_hitter_capacity = 64;
 
-  /// Records moved per queue handoff (amortizes locking).
+  /// Most rows in one slice the router hands a shard, and most rows a
+  /// shard worker pops at a time (amortizes locking).
   std::size_t dispatch_batch = 256;
 
   /// Stall watchdog: a shard whose processed counter stops advancing
@@ -211,11 +230,34 @@ class StreamPipeline {
     std::uint64_t late_records = 0;
   };
 
+  /// A shard's share of one routed batch: the indexes of its rows in the
+  /// shared, immutable batch, in routed order.
+  struct RowSlice {
+    std::shared_ptr<const std::vector<StreamRecord>> records;
+    std::vector<std::uint32_t> rows;
+
+    std::size_t size() const { return rows.size(); }
+
+    /// RingBuffer's split/join hook: rows [begin, end) of `from` onto
+    /// the end of `to`, which is empty or holds rows of the same batch
+    /// (a worker always pops into an empty slice).
+    friend void move_values(RowSlice& to, RowSlice& from, std::size_t begin,
+                            std::size_t end) {
+      to.records = from.records;
+      to.rows.insert(to.rows.end(),
+                     from.rows.begin() + static_cast<std::ptrdiff_t>(begin),
+                     from.rows.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  };
+
+  /// One row list per shard for the batch being routed.
+  using ShardRows = std::vector<std::vector<std::uint32_t>>;
+
   struct Shard {
     Shard(const StreamConfig& config, std::size_t index,
           const std::vector<obs::MetricLabel>& labels);
 
-    RingBuffer<StreamRecord> queue;
+    RingBuffer<std::uint32_t, RowSlice> queue;  ///< counts rows
     mutable std::mutex mutex;
     ShardAggregates aggregates;
     /// Atomic so the watchdog reads progress without the shard mutex.
@@ -255,14 +297,27 @@ class StreamPipeline {
   void router_loop();
   void worker_loop(Shard& shard, std::size_t index);
   void watchdog_loop();
-  void route_ordered(StreamRecord&& record,
-                     std::vector<std::vector<StreamRecord>>& pending);
-  void dispatch(std::vector<std::vector<StreamRecord>>& pending, bool force);
+  /// An empty routed batch whose deleter returns its records to the
+  /// routed budget (routed_records_).
+  std::shared_ptr<std::vector<StreamRecord>> new_routed_batch();
+  void route(const StreamRecord& record, std::size_t row, ShardRows& rows);
+  void hand_off(std::shared_ptr<const std::vector<StreamRecord>> batch,
+                ShardRows& rows);
 
   StreamConfig config_;
   std::vector<obs::MetricLabel> labels_;  ///< {} or {{"twin", config_.twin}}
   Instruments inst_;
   RingBuffer<StreamRecord> ingest_;
+
+  /// Records of handed-off batches that some shard has yet to finish.
+  /// A row pins its whole batch, so one lagging shard could keep
+  /// shard_count × queue_capacity records alive; the router routes no
+  /// new batch while this is at queue_capacity or more. Declared before
+  /// shards_, so it outlives every batch a shard queue still holds.
+  std::mutex routed_mutex_;
+  std::condition_variable routed_cv_;
+  std::size_t routed_records_ = 0;
+
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex router_mutex_;

@@ -45,17 +45,29 @@ class WatermarkReorderer {
       throw failmine::DomainError("watermark lateness must be non-negative");
   }
 
-  /// Feeds one arrival; invokes `emit(StreamRecord&&)` zero or more times
-  /// with records whose release the arrival unlocked, in (time, sequence)
-  /// order.
-  template <typename Emit>
-  void push(StreamRecord record, Emit&& emit) {
+  /// True when the lateness bound is 0: the input is promised in order,
+  /// nothing is ever buffered, and every arrival is released as it
+  /// arrives. A caller may then keep records where they are and call
+  /// observe() on each instead of push().
+  bool passes_through() const { return lateness_ == 0; }
+
+  /// The bookkeeping push() does for one arrival, on the record in
+  /// place: the newest event time seen and the late count.
+  void observe(const StreamRecord& record) {
     if (!seen_any_ || record.time > max_seen_) {
       max_seen_ = record.time;
       seen_any_ = true;
     }
     if (record.time < watermark()) ++late_records_;
-    if (lateness_ == 0 && heap_.empty()) {
+  }
+
+  /// Feeds one arrival; invokes `emit(StreamRecord&&)` zero or more times
+  /// with records whose release the arrival unlocked, in (time, sequence)
+  /// order.
+  template <typename Emit>
+  void push(StreamRecord&& record, Emit&& emit) {
+    observe(record);
+    if (passes_through()) {
       emit(std::move(record));  // in-order fast path: nothing can overtake
       return;
     }

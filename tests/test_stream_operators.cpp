@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -66,6 +69,108 @@ TEST(RollingWindow, NegativeTimesBucketCorrectly) {
   w.add(-5, 0);   // bucket -1 under floor division
   w.add(-15, 0);  // bucket -2
   EXPECT_EQ(w.totals(-1)[0], 2u);
+}
+
+/// RollingWindow as it was before it kept its newest bucket: two floor
+/// divisions and two modulos on every add.
+template <std::size_t Columns>
+class DividingWindow {
+ public:
+  DividingWindow(std::int64_t bucket_seconds, std::size_t bucket_count)
+      : bucket_seconds_(bucket_seconds), buckets_(bucket_count) {}
+
+  void add(util::UnixSeconds t, std::size_t column, std::uint64_t n) {
+    const std::int64_t idx = bucket_index(t);
+    Bucket& b = buckets_[slot(idx)];
+    if (b.index != idx) {
+      b.index = idx;
+      b.counts.fill(0);
+    }
+    b.counts[column] += n;
+  }
+
+  std::array<std::uint64_t, Columns> totals(util::UnixSeconds now) const {
+    std::array<std::uint64_t, Columns> out{};
+    const std::int64_t newest = bucket_index(now);
+    const std::int64_t oldest =
+        newest - static_cast<std::int64_t>(buckets_.size()) + 1;
+    for (const Bucket& b : buckets_) {
+      if (b.index < oldest || b.index > newest) continue;
+      for (std::size_t c = 0; c < Columns; ++c) out[c] += b.counts[c];
+    }
+    return out;
+  }
+
+ private:
+  struct Bucket {
+    std::int64_t index = std::numeric_limits<std::int64_t>::min();
+    std::array<std::uint64_t, Columns> counts{};
+  };
+  std::int64_t bucket_index(util::UnixSeconds t) const {
+    std::int64_t q = t / bucket_seconds_;
+    if (t % bucket_seconds_ < 0) --q;
+    return q;
+  }
+  std::size_t slot(std::int64_t idx) const {
+    const auto m = static_cast<std::int64_t>(buckets_.size());
+    return static_cast<std::size_t>(((idx % m) + m) % m);
+  }
+  std::int64_t bucket_seconds_;
+  std::vector<Bucket> buckets_;
+};
+
+TEST(RollingWindow, MatchesDividingReferenceOnSeededTimes) {
+  // Times start below zero and step by repeats, small advances, exact
+  // bucket boundaries, late records and jumps past the ring span.
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const auto seconds = static_cast<std::int64_t>(1 + rng() % 12);
+    const std::size_t count = 1 + rng() % 6;
+    const auto span = seconds * static_cast<std::int64_t>(count);
+    RollingWindow<3> window(seconds, count);
+    DividingWindow<3> reference(seconds, count);
+    auto t = static_cast<util::UnixSeconds>(rng() % 400) - 300;
+    for (int i = 0; i < 1500; ++i) {
+      switch (rng() % 8) {
+        case 0:
+          break;  // same time again
+        case 1:
+        case 2:
+          t += static_cast<std::int64_t>(rng() % 3);
+          break;
+        case 3: {  // the first second of the next bucket
+          std::int64_t q = t / seconds;
+          if (t % seconds < 0) --q;
+          t = (q + 1) * seconds;
+          break;
+        }
+        case 4:  // the last second of this bucket
+          t += seconds - 1 - (((t % seconds) + seconds) % seconds);
+          break;
+        case 5:  // late, possibly older than the ring span
+          t -= static_cast<std::int64_t>(rng() %
+                                         static_cast<std::uint64_t>(2 * span));
+          break;
+        case 6:  // a jump past the ring span
+          t += span + static_cast<std::int64_t>(
+                          rng() % static_cast<std::uint64_t>(span));
+          break;
+        default:
+          t += static_cast<std::int64_t>(rng() % 3) - 1;
+          break;
+      }
+      const std::size_t column = rng() % 3;
+      const std::uint64_t n = 1 + rng() % 3;
+      window.add(t, column, n);
+      reference.add(t, column, n);
+      for (const std::int64_t ahead : {std::int64_t{0}, std::int64_t{1},
+                                       seconds, span - 1, span}) {
+        ASSERT_EQ(window.totals(t + ahead), reference.totals(t + ahead))
+            << "add " << i << " at " << t << ", totals at +" << ahead;
+      }
+    }
+  }
 }
 
 // ---- StreamingInterruptions vs batch filter ---------------------------

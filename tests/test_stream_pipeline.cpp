@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -173,6 +175,67 @@ TEST(StreamPipeline, SnapshotJsonIsWellFormedEnough) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+/// FNV-1a over the snapshot's JSON text.
+std::uint64_t digest_of(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(StreamPipeline, SnapshotJsonDigestsArePinned) {
+  // The whole final snapshot — heavy hitters, quantiles, f64 core-hours,
+  // MTTI — at 1, 2 and 4 shards, pinned to the digests of the pipeline
+  // that moved records one by one into per-shard vectors. Neither the
+  // replay order (a skew the watermark fully restores) nor how the
+  // replay is cut into pushes may change it. A 512-record ring makes
+  // 700-record pushes and the whole replay enter in pieces.
+  constexpr std::int64_t kSkew = 600;
+  const std::map<std::size_t, std::uint64_t> pinned = {
+      {1, 0x2167e061748dc0f1ULL},
+      {2, 0x92b72939a7c3fb62ULL},
+      {4, 0x023219c26a7fb1e0ULL},
+  };
+  const std::vector<StreamRecord> ordered = sim::build_replay(trace());
+  const std::vector<StreamRecord> shuffled =
+      sim::shuffled_replay(trace(), kSkew, 7);
+  for (const auto& [shards, want] : pinned) {
+    for (const bool shuffle : {false, true}) {
+      for (const std::size_t push : {std::size_t{1}, std::size_t{64},
+                                     std::size_t{700}, std::size_t{0}}) {
+        StreamConfig config = small_config(shards);
+        config.trace_sample_period = 0;
+        config.max_lateness_seconds = shuffle ? 2 * kSkew : 0;
+        StreamPipeline pipeline(config);
+        std::vector<StreamRecord> records = shuffle ? shuffled : ordered;
+        if (push == 1) {
+          for (StreamRecord& r : records) pipeline.push(std::move(r));
+        } else if (push == 0) {
+          pipeline.push_batch(std::move(records));
+        } else {
+          for (std::size_t i = 0; i < records.size(); i += push) {
+            const auto begin = records.begin() + static_cast<std::ptrdiff_t>(i);
+            const auto end = records.begin() + static_cast<std::ptrdiff_t>(
+                                                   std::min(records.size(), i + push));
+            pipeline.push_batch(std::vector<StreamRecord>(
+                std::make_move_iterator(begin), std::make_move_iterator(end)));
+          }
+        }
+        pipeline.finish();
+        const StreamSnapshot snap = pipeline.snapshot();
+        EXPECT_EQ(snap.records_late, 0u);
+        const std::uint64_t got = digest_of(snap.to_json());
+        EXPECT_EQ(got, want) << std::hex << "0x" << got << std::dec
+                             << " at " << shards << " shards, "
+                             << (shuffle ? "shuffled" : "ordered")
+                             << ", pushes of " << push;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -95,8 +95,14 @@ TEST(StreamProfileE2E, LiveCaptureCarriesShardThreadsAndStreamSpans) {
   ASSERT_GT(port, 0);
   {
     ReplayFeeder feeder(pipeline);
-    // Give the workers a moment to start chewing before sampling.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Sample only once the workers are chewing: the feeder first builds
+    // its replay (simulating the trace if no test has yet), which can
+    // outlast a fixed pause under a sanitizer.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (pipeline.snapshot().records_processed == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
     const obs::HttpResponse folded =
         obs::http_get(port, "/profile?seconds=0.5&hz=997&fmt=folded");

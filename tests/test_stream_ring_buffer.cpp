@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <numeric>
 #include <random>
@@ -121,6 +122,117 @@ TEST(RingBuffer, OversizedPushBatchWakesSleepingConsumer) {
   for (std::size_t i = 0; i < kTotal; ++i)
     ASSERT_EQ(all[i], static_cast<int>(i));  // FIFO preserved throughout
   EXPECT_EQ(ring.dropped(), 0u);
+}
+
+TEST(RingBuffer, EmptyOutTakesFittingFrontBatchWhole) {
+  RingBuffer<int> ring(16, BackpressurePolicy::kBlock);
+  std::vector<int> values = {1, 2, 3, 4};
+  const int* storage = values.data();
+  EXPECT_EQ(ring.push_batch(std::move(values)), 4u);
+  EXPECT_EQ(ring.size(), 4u);
+  std::vector<int> out;
+  EXPECT_EQ(ring.pop_batch(out, 4), 4u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(out.data(), storage);  // handed over, not copied
+  EXPECT_EQ(ring.size(), 0u);
+}
+
+TEST(RingBuffer, PopBelowFrontBatchSizeMovesValues) {
+  RingBuffer<int> ring(16, BackpressurePolicy::kBlock);
+  std::vector<int> first(10);
+  std::iota(first.begin(), first.end(), 0);
+  ring.push_batch(std::move(first));
+  ring.push_batch({10, 11});
+  std::vector<int> out;
+  EXPECT_EQ(ring.pop_batch(out, 4), 4u);  // max below the front's 10
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(ring.size(), 8u);
+  // A non-empty `out` gets values appended, up to the front batch's end.
+  EXPECT_EQ(ring.pop_batch(out, 100), 6u);
+  EXPECT_EQ(ring.size(), 2u);
+  // A single push after a partial pop lands behind the queued batches.
+  EXPECT_TRUE(ring.push(12));
+  out.clear();
+  while (ring.size() > 0) ring.pop_batch(out, 100);
+  EXPECT_EQ(out, (std::vector<int>{10, 11, 12}));
+}
+
+TEST(RingBuffer, DropNewestKeepsThePrefixThatFits) {
+  RingBuffer<int> ring(5, BackpressurePolicy::kDropNewest);
+  EXPECT_EQ(ring.push_batch({0, 1, 2}), 3u);
+  EXPECT_EQ(ring.push_batch({10, 11, 12, 13, 14, 15, 16}), 2u);
+  EXPECT_EQ(ring.dropped(), 5u);
+  EXPECT_FALSE(ring.push(20));
+  std::vector<int> out;
+  ring.pop_batch(out, 100);
+  ring.pop_batch(out, 100);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 10, 11}));
+  // Larger than the whole capacity, into an empty ring: the first
+  // capacity's worth is kept.
+  EXPECT_EQ(ring.push_batch({30, 31, 32, 33, 34, 35, 36, 37}), 5u);
+  out.clear();
+  ring.pop_batch(out, 100);
+  EXPECT_EQ(out, (std::vector<int>{30, 31, 32, 33, 34}));
+  EXPECT_EQ(ring.pushed(), 10u);
+  EXPECT_EQ(ring.dropped(), 9u);
+}
+
+TEST(RingBuffer, BlockingBatchesStayFifoAndWithinCapacity) {
+  // Seeded batch sizes from 0 to 3x the capacity (whole, split and
+  // single pushes) against a consumer popping seeded amounts; a watcher
+  // polls size() throughout.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const std::size_t capacity = 1 + rng() % 48;
+    RingBuffer<int> ring(capacity, BackpressurePolicy::kBlock);
+    std::vector<std::vector<int>> batches;
+    int next = 0;
+    for (int b = 0; b < 200; ++b) {
+      std::vector<int> batch(rng() % (3 * capacity + 1));
+      for (int& v : batch) v = next++;
+      batches.push_back(std::move(batch));
+    }
+    const std::size_t total = static_cast<std::size_t>(next);
+
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> most{0};
+    std::thread watcher([&] {
+      while (!done.load()) most.store(std::max(most.load(), ring.size()));
+    });
+    std::vector<int> all;
+    std::thread consumer([&, max_seed = rng()] {
+      std::mt19937_64 pops(max_seed);
+      std::vector<int> out;
+      while (ring.pop_batch(out, 1 + pops() % (2 * capacity)) > 0) {
+        if (pops() % 2 == 0) {
+          all.insert(all.end(), out.begin(), out.end());
+          out.clear();
+        }
+      }
+      all.insert(all.end(), out.begin(), out.end());
+    });
+    std::size_t accepted = 0;
+    for (auto& batch : batches) {
+      if (batch.size() == 1) {
+        accepted += ring.push(batch.front()) ? 1 : 0;
+      } else {
+        accepted += ring.push_batch(std::move(batch));
+      }
+      EXPECT_LE(ring.size(), ring.capacity());  // non-fatal: threads to join
+    }
+    ring.close();
+    consumer.join();
+    done.store(true);
+    watcher.join();
+
+    EXPECT_EQ(accepted, total);
+    EXPECT_EQ(ring.dropped(), 0u);
+    EXPECT_LE(most.load(), capacity);
+    ASSERT_EQ(all.size(), total);
+    for (std::size_t i = 0; i < total; ++i)
+      ASSERT_EQ(all[i], static_cast<int>(i));
+  }
 }
 
 // ---- WatermarkReorderer ----------------------------------------------

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "stream/heavy_hitters.hpp"
@@ -115,6 +117,12 @@ TEST(SpaceSaving, RejectsZeroCapacity) {
   EXPECT_THROW(SpaceSavingSketch(0), DomainError);
 }
 
+TEST(SpaceSaving, RejectsCapacityPastThirtyBitPositions) {
+  // Heap positions and index slots are 32-bit; the check runs before
+  // anything is allocated.
+  EXPECT_THROW(SpaceSavingSketch((std::size_t{1} << 30) + 1), DomainError);
+}
+
 TEST(SpaceSaving, ExactBelowCapacity) {
   SpaceSavingSketch s(8);
   for (int i = 0; i < 5; ++i)
@@ -178,6 +186,182 @@ TEST(SpaceSaving, WeightedAdds) {
   EXPECT_EQ(s.total_weight(), 13u);
   EXPECT_EQ(s.top(1)[0].key, 7u);
   EXPECT_EQ(s.top(1)[0].count, 10u);
+}
+
+// ---- SpaceSavingSketch against the map-and-scan reference -------------
+
+/// The sketch as a hash map with an O(capacity) victim scan (minimum
+/// count, larger key on ties) — the plainest form of the contract the
+/// heap-ordered sketch must reproduce entry for entry.
+class ReferenceSpaceSaving {
+ public:
+  using Entry = SpaceSavingSketch::Entry;
+
+  explicit ReferenceSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(std::uint64_t key, std::uint64_t weight) {
+    total_weight_ += weight;
+    const auto it = counts_.find(key);
+    if (it != counts_.end()) {
+      it->second.count += weight;
+      return;
+    }
+    if (counts_.size() < capacity_) {
+      counts_.emplace(key, Entry{key, weight, 0});
+      return;
+    }
+    auto min_it = counts_.begin();
+    for (auto i = counts_.begin(); i != counts_.end(); ++i)
+      if (i->second.count < min_it->second.count ||
+          (i->second.count == min_it->second.count &&
+           i->second.key > min_it->second.key))
+        min_it = i;
+    const std::uint64_t floor = min_it->second.count;
+    counts_.erase(min_it);
+    counts_.emplace(key, Entry{key, floor + weight, floor});
+  }
+
+  std::vector<Entry> entries() const {
+    std::vector<Entry> out;
+    for (const auto& [key, entry] : counts_) out.push_back(entry);
+    std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
+      if (a.count != b.count) return a.count > b.count;
+      return a.key < b.key;
+    });
+    return out;
+  }
+
+  std::optional<Entry> find(std::uint64_t key) const {
+    const auto it = counts_.find(key);
+    if (it == counts_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  void merge(const ReferenceSpaceSaving& other) {
+    auto min_count = [](const ReferenceSpaceSaving& s) -> std::uint64_t {
+      if (s.counts_.size() < s.capacity_) return 0;
+      std::uint64_t m = UINT64_MAX;
+      for (const auto& [key, entry] : s.counts_) m = std::min(m, entry.count);
+      return m;
+    };
+    const std::uint64_t self_floor = min_count(*this);
+    const std::uint64_t other_floor = min_count(other);
+    std::unordered_map<std::uint64_t, Entry> merged;
+    for (const auto& [key, entry] : counts_) {
+      Entry e = entry;
+      e.count += other_floor;
+      e.error += other_floor;
+      merged.emplace(key, e);
+    }
+    for (const auto& [key, entry] : other.counts_) {
+      auto it = merged.find(key);
+      if (it == merged.end()) {
+        Entry e = entry;
+        e.count += self_floor;
+        e.error += self_floor;
+        merged.emplace(key, e);
+      } else {
+        it->second.count += entry.count - other_floor;
+        it->second.error += entry.error - other_floor;
+      }
+    }
+    counts_ = std::move(merged);
+    total_weight_ += other.total_weight_;
+    merged_error_floor_ += other_floor + self_floor;
+    if (counts_.size() > capacity_) {
+      std::vector<Entry> ordered = entries();
+      counts_.clear();
+      for (std::size_t i = 0; i < capacity_; ++i)
+        counts_.emplace(ordered[i].key, ordered[i]);
+    }
+  }
+
+  std::uint64_t total_weight() const { return total_weight_; }
+  std::uint64_t error_bound() const {
+    return total_weight_ / capacity_ + merged_error_floor_;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::uint64_t total_weight_ = 0;
+  std::uint64_t merged_error_floor_ = 0;
+  std::unordered_map<std::uint64_t, Entry> counts_;
+};
+
+bool same_entry(const SpaceSavingSketch::Entry& a,
+                const SpaceSavingSketch::Entry& b) {
+  return a.key == b.key && a.count == b.count && a.error == b.error;
+}
+
+void expect_same_sketch(const SpaceSavingSketch& sketch,
+                        const ReferenceSpaceSaving& reference,
+                        std::uint64_t key_space) {
+  const auto got = sketch.entries();
+  const auto want = reference.entries();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_TRUE(same_entry(got[i], want[i]))
+        << "entry " << i << ": key " << got[i].key << " vs " << want[i].key
+        << ", count " << got[i].count << " vs " << want[i].count;
+  for (std::uint64_t key = 0; key < key_space; ++key) {
+    const auto a = sketch.find(key);
+    const auto b = reference.find(key);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "key " << key;
+    if (a) ASSERT_TRUE(same_entry(*a, *b)) << "key " << key;
+  }
+  ASSERT_EQ(sketch.total_weight(), reference.total_weight());
+  ASSERT_EQ(sketch.error_bound(), reference.error_bound());
+}
+
+TEST(SpaceSaving, MatchesMapReferenceOnSeededStreams) {
+  // Small capacities over skewed keys with unit-heavy weights: counts tie
+  // often, so the victim rule (larger key first on ties) decides most
+  // evictions. One stream in three also folds in a second summary.
+  std::size_t merges = 0;
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const std::size_t capacity = 1 + rng() % 80;
+    const std::uint64_t key_space = 1 + rng() % 400;
+    auto draw_key = [&] { return rng() % (1 + rng() % key_space); };
+    auto draw_weight = [&] { return rng() % 3 == 0 ? 1 + rng() % 5 : 1; };
+    SpaceSavingSketch sketch(capacity);
+    ReferenceSpaceSaving reference(capacity);
+    const std::size_t adds = rng() % 3001;
+    for (std::size_t i = 1; i <= adds; ++i) {
+      const std::uint64_t key = draw_key();
+      const std::uint64_t weight = draw_weight();
+      sketch.add(key, weight);
+      reference.add(key, weight);
+      if (i % 1000 == 0)
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_sketch(sketch, reference, key_space));
+    }
+    if (rng() % 3 == 0) {
+      const std::size_t other_capacity = 1 + rng() % 80;
+      SpaceSavingSketch other(other_capacity);
+      ReferenceSpaceSaving other_reference(other_capacity);
+      const std::size_t other_adds = rng() % 1500;
+      for (std::size_t i = 0; i < other_adds; ++i) {
+        const std::uint64_t key = draw_key();
+        const std::uint64_t weight = draw_weight();
+        other.add(key, weight);
+        other_reference.add(key, weight);
+      }
+      sketch.merge(other);
+      reference.merge(other_reference);
+      ++merges;
+      ASSERT_NO_FATAL_FAILURE(expect_same_sketch(sketch, reference, key_space));
+      // The merged summary keeps counting.
+      for (std::size_t i = 0; i < 500; ++i) {
+        const std::uint64_t key = draw_key();
+        sketch.add(key, 1);
+        reference.add(key, 1);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same_sketch(sketch, reference, key_space));
+  }
+  EXPECT_GE(merges, 250u);
 }
 
 }  // namespace
