@@ -7,7 +7,9 @@
 # or, for the fleet-mode smoke test (stream --fleet N), as:
 #   cmake -DMETRICS=... -DFLEET=N -P check_stream_metrics.cmake
 # where every pipeline instrument must instead appear once per twin
-# under its twin="t<i>" label and never under the bare family name.
+# under its twin="t<i>" label and never under the bare family name. With
+# --predict (the single-pipeline replay), stream.interruptions_opened
+# must equal predict.interruptions.
 
 include("${CMAKE_CURRENT_LIST_DIR}/expected_metrics.cmake")
 
@@ -37,11 +39,21 @@ if(FLEET)
       failmine_fleet_metric_name(name "${family}" "t${i}")
       failmine_require_substring("${metrics_json}" "${name}")
     endforeach()
+    failmine_fleet_metric_name(opened_name
+                               "${FAILMINE_STREAM_INTERRUPTIONS_COUNTER}"
+                               "t${i}")
+    failmine_labeled_metric_value(twin_opened "${metrics_json}"
+                                  "${opened_name}")
+    if(twin_opened EQUAL 0)
+      message(FATAL_ERROR "${opened_name} is 0 — twin t${i} opened no "
+                          "interruption")
+    endif()
   endforeach()
   # ...and the bare family spellings must be absent: the twin label is
   # the isolation mechanism, not decoration on top of shared counters.
   foreach(family ${FAILMINE_STREAM_IN_COUNTER}
                  ${FAILMINE_STREAM_DROPPED_COUNTER}
+                 ${FAILMINE_STREAM_INTERRUPTIONS_COUNTER}
                  ${FAILMINE_STREAM_REQUIRED_GAUGES})
     string(REPLACE "." "\\." pattern "${family}")
     if(metrics_json MATCHES "\"${pattern}\":")
@@ -109,6 +121,17 @@ failmine_metric_value(predict_records "${metrics_json}"
 if(predict_records EQUAL 0)
   message(FATAL_ERROR "${FAILMINE_PREDICT_RECORDS_COUNTER} is 0 — the "
                       "predictor never observed a record")
+endif()
+# The predictor reads the router's similarity filter, so each
+# interruption is counted once, and both counters agree.
+failmine_metric_value(opened "${metrics_json}"
+                      "${FAILMINE_STREAM_INTERRUPTIONS_COUNTER}")
+failmine_metric_value(predicted "${metrics_json}"
+                      "${FAILMINE_PREDICT_INTERRUPTIONS_COUNTER}")
+if(opened EQUAL 0 OR NOT opened EQUAL predicted)
+  message(FATAL_ERROR "${FAILMINE_STREAM_INTERRUPTIONS_COUNTER}=${opened} "
+                      "but ${FAILMINE_PREDICT_INTERRUPTIONS_COUNTER}="
+                      "${predicted}: want one non-zero count per interruption")
 endif()
 
 # The replay runs with --tsdb, so the store's self-metrics must be in

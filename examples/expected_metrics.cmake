@@ -21,6 +21,10 @@ set(FAILMINE_STREAM_REQUIRED_HISTOGRAMS
 # Counters whose *values* the stream check inspects.
 set(FAILMINE_STREAM_IN_COUNTER stream.records_in)
 set(FAILMINE_STREAM_DROPPED_COUNTER stream.records_dropped)
+# Interruptions the router's similarity filter opened: one per twin, and
+# with --predict equal to predict.interruptions (the predictor reads the
+# router's filter rather than clustering again).
+set(FAILMINE_STREAM_INTERRUPTIONS_COUNTER stream.interruptions_opened)
 
 # Causal-tracing instruments the pipeline's tracer configures at
 # construction (src/obs/causal.cpp): one latency histogram per stage
@@ -57,6 +61,7 @@ set(FAILMINE_PREDICT_REQUIRED_HISTOGRAMS
   predict.risk_score
   predict.flag_lead_s)
 set(FAILMINE_PREDICT_RECORDS_COUNTER predict.records)
+set(FAILMINE_PREDICT_INTERRUPTIONS_COUNTER predict.interruptions)
 
 # Process-level gauges update_process_metrics() maintains on every
 # export and scrape (src/obs/metrics.cpp).

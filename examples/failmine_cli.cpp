@@ -491,7 +491,6 @@ int cmd_stream(const ArgMap& args) {
   if (args.has("predict")) {
     predict::PredictConfig pc;
     pc.machine = config.machine;
-    pc.filter = config.filter;
     predict_op = std::make_shared<predict::PredictOperator>(pc);
     config.router_operator = predict_op;
   }

@@ -13,15 +13,6 @@ bool severity_at_least(raslog::Severity s, raslog::Severity threshold) {
   return static_cast<int>(s) >= static_cast<int>(threshold);
 }
 
-bool neighbourhood_match(const raslog::RasEvent& a, const raslog::RasEvent& b,
-                         topology::Level level) {
-  const auto common = a.location.common_level(b.location);
-  if (!common.has_value()) return false;
-  const topology::Level required =
-      std::min({level, a.location.level(), b.location.level()});
-  return *common >= required;
-}
-
 }  // namespace
 
 CooccurrenceResult category_cooccurrence(const raslog::RasLog& log,
@@ -55,7 +46,7 @@ CooccurrenceResult category_cooccurrence(const raslog::RasLog& log,
       const auto* follower = events[j];
       if (follower->timestamp - trigger->timestamp > config.window_seconds)
         break;
-      if (!neighbourhood_match(*trigger, *follower, config.spatial_level))
+      if (!trigger->location.near(follower->location, config.spatial_level))
         continue;
       ++result.follows[a][static_cast<std::size_t>(follower->category)];
     }

@@ -10,77 +10,53 @@
 namespace failmine::core {
 
 using raslog::RasEvent;
-using topology::Level;
 
 bool spatially_similar(const RasEvent& a, const RasEvent& b,
                        const FilterConfig& config) {
   if (config.require_same_message && a.message_id != b.message_id) return false;
-  const auto common = a.location.common_level(b.location);
-  if (!common.has_value()) return false;  // different racks
-  // A location shallower than the configured radius covers everything
-  // beneath it, so the requirement relaxes to the shallowest of the three.
-  const Level required = std::min(
-      {config.spatial_level, a.location.level(), b.location.level()});
-  return *common >= required;
+  return a.location.near(b.location, config.spatial_level);
 }
 
-namespace {
-
-std::vector<const RasEvent*> select_severity(const raslog::RasLog& log,
-                                             raslog::Severity severity) {
-  std::vector<const RasEvent*> out;
-  for (const auto& e : log.events())
-    if (e.severity == severity) out.push_back(&e);
-  return out;
+SimilarityFilter::SimilarityFilter(FilterConfig config)
+    : config_(std::move(config)) {
+  if (config_.window_seconds < 0)
+    throw failmine::DomainError("filter window must be non-negative");
 }
 
-}  // namespace
+bool SimilarityFilter::add(const RasEvent& event) {
+  if (event.severity != config_.severity) return false;
+  ++result_.input_events;
+  std::vector<EventCluster>& clusters = result_.clusters;
+
+  // Events arrive in time order, so a cluster whose latest member fell
+  // out of the window can never be joined again.
+  std::erase_if(open_, [&](std::size_t idx) {
+    return clusters[idx].last_time < event.timestamp - config_.window_seconds;
+  });
+
+  // Join the most recently opened similar cluster.
+  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+    EventCluster& c = clusters[*it];
+    if (spatially_similar(c.representative, event, config_)) {
+      ++c.member_count;
+      c.last_time = event.timestamp;
+      if (!c.job_id && event.job_id) c.job_id = event.job_id;
+      return false;
+    }
+  }
+
+  clusters.push_back(
+      {event, 1, event.timestamp, event.timestamp, event.job_id});
+  open_.push_back(clusters.size() - 1);
+  return true;
+}
 
 FilterResult filter_events(const raslog::RasLog& log, const FilterConfig& config) {
   FAILMINE_TRACE_SPAN("e07.filtering");
-  if (config.window_seconds < 0)
-    throw failmine::DomainError("filter window must be non-negative");
-  const auto selected = select_severity(log, config.severity);
-
-  FilterResult result;
-  result.input_events = selected.size();
-
-  // Open clusters: indexes into result.clusters whose last_time is still
-  // within the window of the current event. The stream is time-sorted, so
-  // clusters expire monotonically from the front of the open list.
-  std::vector<std::size_t> open;
-  for (const RasEvent* event : selected) {
-    // Expire stale clusters.
-    std::erase_if(open, [&](std::size_t idx) {
-      return result.clusters[idx].last_time <
-             event->timestamp - config.window_seconds;
-    });
-
-    // Join the most recently touched similar cluster.
-    std::size_t joined = static_cast<std::size_t>(-1);
-    for (auto it = open.rbegin(); it != open.rend(); ++it) {
-      EventCluster& c = result.clusters[*it];
-      if (spatially_similar(c.representative, *event, config)) {
-        joined = *it;
-        break;
-      }
-    }
-    if (joined != static_cast<std::size_t>(-1)) {
-      EventCluster& c = result.clusters[joined];
-      ++c.member_count;
-      c.last_time = event->timestamp;
-      if (!c.job_id && event->job_id) c.job_id = event->job_id;
-    } else {
-      EventCluster c;
-      c.representative = *event;
-      c.member_count = 1;
-      c.first_time = event->timestamp;
-      c.last_time = event->timestamp;
-      c.job_id = event->job_id;
-      result.clusters.push_back(std::move(c));
-      open.push_back(result.clusters.size() - 1);
-    }
-  }
+  SimilarityFilter filter(config);
+  for (const RasEvent& e : log.events())
+    if (e.severity == config.severity) filter.add(e);
+  FilterResult result = std::move(filter).take_result();
   obs::metrics().counter("filter.input_events").add(result.input_events);
   obs::metrics().counter("filter.clusters").add(result.clusters.size());
   return result;
@@ -88,31 +64,21 @@ FilterResult filter_events(const raslog::RasLog& log, const FilterConfig& config
 
 PipelineCounts filtering_pipeline(const raslog::RasLog& log,
                                   const FilterConfig& config) {
-  PipelineCounts counts;
-  const auto selected = select_severity(log, config.severity);
-  counts.raw = selected.size();
-
   // Temporal-only: split the time-sorted stream wherever the gap to the
-  // previous event exceeds the window.
-  std::uint64_t temporal = 0;
+  // previous event exceeds the window. Spatial-only: distinct components
+  // at the effective level, ignoring time entirely.
+  PipelineCounts counts;
   util::UnixSeconds last = 0;
-  bool first = true;
-  for (const RasEvent* e : selected) {
-    if (first || e->timestamp - last > config.window_seconds) ++temporal;
-    last = e->timestamp;
-    first = false;
-  }
-  counts.temporal_only = temporal;
-
-  // Spatial-only: distinct components at the effective level, ignoring
-  // time entirely.
   std::set<topology::Location> components;
-  for (const RasEvent* e : selected) {
-    const Level effective = std::min(config.spatial_level, e->location.level());
-    components.insert(e->location.ancestor(effective));
+  for (const RasEvent& e : log.events()) {
+    if (e.severity != config.severity) continue;
+    if (counts.raw++ == 0 || e.timestamp - last > config.window_seconds)
+      ++counts.temporal_only;
+    last = e.timestamp;
+    components.insert(e.location.ancestor(
+        std::min(config.spatial_level, e.location.level())));
   }
   counts.spatial_only = components.size();
-
   counts.combined = filter_events(log, config).clusters.size();
   return counts;
 }

@@ -13,14 +13,17 @@
 //
 // We implement this as a single-pass greedy clustering over the
 // time-sorted event stream: an event joins the most recent open cluster
-// it is similar to, otherwise it opens a new cluster. The per-stage
-// reduction (temporal-only, spatial-only, both) is exposed so E07 can
-// report the pipeline shrinkage and E14 can sweep the parameters.
+// it is similar to, otherwise it opens a new cluster. SimilarityFilter
+// is that clustering, written once: filter_events drives it over a log,
+// the stream router over the stream. The per-stage reduction
+// (temporal-only, spatial-only, both) is exposed so E07 can report the
+// pipeline shrinkage and E14 can sweep the parameters.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "raslog/event.hpp"
@@ -65,6 +68,32 @@ struct FilterResult {
                             : static_cast<double>(input_events) /
                                   static_cast<double>(clusters.size());
   }
+};
+
+/// The similarity filter as an operator, fed one event at a time in time
+/// order (a log's, or a stream's watermark order).
+class SimilarityFilter {
+ public:
+  /// Throws DomainError on a negative window.
+  explicit SimilarityFilter(FilterConfig config);
+
+  /// Feeds one event; events of other severities are ignored. Returns
+  /// true when the event opens a cluster, with itself as representative.
+  bool add(const raslog::RasEvent& event);
+
+  const std::vector<EventCluster>& clusters() const {
+    return result_.clusters;
+  }
+  std::uint64_t input_events() const { return result_.input_events; }
+
+  /// Moves the clusters and the input count out; the filter is spent.
+  FilterResult take_result() && { return std::move(result_); }
+
+ private:
+  FilterConfig config_;
+  FilterResult result_;
+  /// Clusters whose latest member is within the window, opening order.
+  std::vector<std::size_t> open_;
 };
 
 /// Runs the similarity filter over `log`.

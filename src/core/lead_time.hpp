@@ -9,10 +9,14 @@
 // interruption we look back a bounded horizon for the nearest WARN on the
 // same hardware neighbourhood and report the lead-time distribution and
 // the fraction of interruptions that had any precursor at all.
+// PrecursorSearch is that search, written once: warning_lead_times
+// drives it over a log, predict::PrecursorMiner over the stream.
 
 #pragma once
 
+#include <deque>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/event_filter.hpp"
@@ -45,8 +49,52 @@ struct LeadTimeResult {
   double mean_lead_seconds = 0.0;
 };
 
+/// The precursor search as an operator: WARNs enter in time order, and
+/// each interruption is resolved against the WARNs held.
+class PrecursorSearch {
+ public:
+  /// A WARN without its free text.
+  struct Warn {
+    util::UnixSeconds time = 0;
+    topology::Location location = topology::Location::rack(0, 0);
+    raslog::Category category = raslog::Category::kSoftware;
+    std::string message_id;
+  };
+
+  /// Throws DomainError unless the horizon is positive.
+  explicit PrecursorSearch(const LeadTimeConfig& config);
+
+  void add_warn(const raslog::RasEvent& warn);
+
+  /// Records the Precursor of the interruption first seen at
+  /// `first_time` on `location`: the latest WARN held in
+  /// [first_time - horizon, first_time] near `location`. The walk runs
+  /// back from the newest WARN and skips any stamped after `first_time`,
+  /// so of equal stamps the WARN added last wins. Returns that WARN
+  /// (valid until forget_before drops it), or nullptr when there is none.
+  const Warn* resolve(util::UnixSeconds first_time,
+                      const topology::Location& location);
+
+  /// Drops the WARNs stamped before `t`.
+  void forget_before(util::UnixSeconds t);
+
+  /// Lead times found so far, in resolve order.
+  const std::vector<double>& leads() const { return leads_; }
+  std::uint64_t resolved() const { return per_interruption_.size(); }
+
+  /// Every interruption resolved so far, with coverage, median and mean.
+  LeadTimeResult result() const;
+
+ private:
+  LeadTimeConfig config_;
+  std::deque<Warn> warns_;  ///< time order
+  std::vector<Precursor> per_interruption_;
+  std::vector<double> leads_;
+};
+
 /// Searches the WARN stream of `log` for precursors of each filtered
-/// interruption in `clusters`.
+/// interruption in `clusters`, which come in first-time order, as
+/// filter_events returns them (DomainError otherwise).
 LeadTimeResult warning_lead_times(const raslog::RasLog& log,
                                   const std::vector<EventCluster>& clusters,
                                   const LeadTimeConfig& config = {});

@@ -5,9 +5,10 @@
 // The paper distills its analysis into 22 takeaways; the abstract commits
 // to a handful of quantitative ones (T-A .. T-F in DESIGN.md). This module
 // evaluates each reproducible headline claim against a dataset and reports
-// measured-vs-expected with a tolerance verdict — the integration tests
-// and EXPERIMENTS.md are generated from the same structure, so the
-// documentation can never drift from what the code measures.
+// measured-vs-expected with a tolerance verdict, which the integration
+// tests check. EXPERIMENTS.md is not generated from it: its tables are
+// copied by hand from the bench binaries, and can drift from what the
+// code measures.
 
 #pragma once
 

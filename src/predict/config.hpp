@@ -6,13 +6,14 @@
 // the streaming predictor. Keeping the horizons / checkpoint-cost
 // assumptions in exactly one place is what makes the offline tables and
 // the online policy scoreboard comparable apples-to-apples (P01 vs X08).
+// The interruptions come from the pipeline's filter (StreamConfig::filter).
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/event_filter.hpp"
+#include "topology/location.hpp"
 #include "topology/machine.hpp"
 
 namespace failmine::predict {
@@ -103,10 +104,6 @@ struct PolicyConfig {
 /// Top-level configuration of the PredictOperator.
 struct PredictConfig {
   topology::MachineConfig machine = topology::MachineConfig::mira();
-
-  /// Interruption clustering (must match the batch filter / the stream
-  /// pipeline's filter for parity).
-  core::FilterConfig filter;
 
   /// Precursor search: how far back from an interruption to look for a
   /// WARN, and how close in space it must be. Defaults match

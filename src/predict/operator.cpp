@@ -52,7 +52,8 @@ void PredictOperator::drain_new_leads() {
     lead_time_hist_->observe(leads[leads_observed_]);
 }
 
-void PredictOperator::observe(const stream::StreamRecord& record) {
+void PredictOperator::observe(const stream::StreamRecord& record,
+                              bool opened_interruption) {
   ++records_;
   // The per-record counter is the hottest instrument in the operator;
   // batch its (atomic) adds so live readers lag by at most 256 records.
@@ -66,19 +67,19 @@ void PredictOperator::observe(const stream::StreamRecord& record) {
   switch (record.source()) {
     case stream::RecordSource::kRas: {
       const auto& event = std::get<raslog::RasEvent>(record.payload);
-      const PrecursorMiner::RasOutcome outcome = miner_.observe_ras(event);
+      const bool alerted = miner_.observe_ras(event, opened_interruption);
       if (event.severity == raslog::Severity::kWarn) {
         warns_counter_->add();
         const int mp = midplane_of(event.location, config_.machine);
         if (mp >= 0) warn_pressure_.bump(mp, 1.0, event.timestamp);
       }
-      if (outcome.cluster_opened) {
+      if (opened_interruption) {
         interruptions_counter_->add();
         policy_.on_interruption(event.timestamp);
         const int mp = midplane_of(event.location, config_.machine);
         if (mp >= 0) health_.bump(mp, 1.0, event.timestamp);
       }
-      if (outcome.alerted) alerts_counter_->add();
+      if (alerted) alerts_counter_->add();
       break;
     }
     case stream::RecordSource::kTask: {

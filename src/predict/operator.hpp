@@ -15,9 +15,10 @@
 //              times)           -> risk score)  3-way cost ledger)
 //
 // Wiring per record source:
-//   RAS    -> miner (clusters, alerts, lead times); WARNs bump the
-//             per-midplane warn-pressure map; cluster opens feed the
-//             policy's interval sketch and the location-health map.
+//   RAS    -> miner (alerts, lead times); WARNs bump the per-midplane
+//             warn-pressure map; the pipeline filter's cluster opens
+//             also feed the policy's interval sketch and the
+//             location-health map.
 //   task   -> risk scorer's live-job table (decayed failed-task score,
 //             online flagging).
 //   job    -> scored: risk assessment at end time, policy decision from
@@ -51,7 +52,8 @@ class PredictOperator : public stream::RouterOperator {
  public:
   explicit PredictOperator(PredictConfig config);
 
-  void observe(const stream::StreamRecord& record) override;
+  void observe(const stream::StreamRecord& record,
+               bool opened_interruption) override;
   void finish() override;
   std::string section_name() const override { return "predict"; }
   std::string snapshot_json() const override { return snapshot().to_json(); }

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#include "core/event_filter.hpp"
-#include "stats/summary.hpp"
-#include "util/error.hpp"
-
 namespace failmine::predict {
 
 namespace {
@@ -18,67 +14,32 @@ std::size_t category_index(raslog::Category category) {
 
 PrecursorMiner::PrecursorMiner(const PredictConfig& config)
     : horizon_(config.horizon_seconds),
+      spatial_level_(config.spatial_level),
       alert_min_score_(config.alert_min_score),
       alert_min_warns_(config.alert_min_category_warns),
       lead_horizons_(config.lead_horizons),
-      clustering_(config.filter) {
-  if (horizon_ <= 0)
-    throw failmine::DomainError("predict horizon must be positive");
-  similarity_.spatial_level = config.spatial_level;
+      search_({config.horizon_seconds, config.spatial_level}) {
   clusters_alerted_at_.assign(lead_horizons_.size(), 0);
   alerts_matched_at_.assign(lead_horizons_.size(), 0);
 }
 
-bool PrecursorMiner::matches(const topology::Location& location,
-                             const std::string& message_id,
-                             const raslog::RasEvent& representative) const {
-  // Route through the exact batch predicate (X02 parity), probing with a
-  // minimal event carrying the only fields the predicate reads.
-  raslog::RasEvent probe;
-  probe.message_id = message_id;
-  probe.location = location;
-  return core::spatially_similar(probe, representative, similarity_);
-}
-
 void PrecursorMiner::resolve(const PendingCluster& cluster) {
-  // Latest WARN in [first_time - horizon, first_time] spatially similar
-  // to the representative — the same "keep the latest match" walk as
-  // core::warning_lead_times, run backwards so it can stop at the first
-  // hit.
-  const util::UnixSeconds window_start = cluster.first_time - horizon_;
-  const WarnEntry* best = nullptr;
-  for (auto it = warns_.rbegin(); it != warns_.rend(); ++it) {
-    if (it->time > cluster.first_time) continue;
-    if (it->time < window_start) break;  // ring is time-ordered
-    if (matches(it->location, it->message_id, cluster.representative)) {
-      best = &*it;
-      break;
-    }
-  }
-
-  core::Precursor p;
-  p.interruption_time = cluster.first_time;
-  if (best != nullptr) {
-    p.lead_seconds = cluster.first_time - best->time;
-    p.warn_message_id = best->message_id;
-    ++with_precursor_;
-    leads_.push_back(static_cast<double>(*p.lead_seconds));
-    ++categories_[category_index(best->category)].hits;
-  } else {
-    ++without_precursor_;
-  }
-  per_interruption_.push_back(std::move(p));
+  // The X02 search itself: the latest similar WARN in
+  // [first_time - horizon, first_time].
+  const core::PrecursorSearch::Warn* best =
+      search_.resolve(cluster.first_time, cluster.location);
+  if (best != nullptr) ++categories_[category_index(best->category)].hits;
 
   // Grade-side bookkeeping: which pending alerts predicted this
   // interruption, and with how much lead? (Every alert whose window
   // covers this cluster is still pending — alerts outlive the clusters
   // they can match, see advance().)
+  const util::UnixSeconds window_start = cluster.first_time - horizon_;
   std::int64_t best_alert_lead = -1;
   for (PendingAlert& alert : alerts_) {
     if (alert.time > cluster.first_time) break;  // queue is time-ordered
     if (alert.time < window_start) continue;
-    if (!matches(alert.location, alert.message_id, cluster.representative))
-      continue;
+    if (!alert.location.near(cluster.location, spatial_level_)) continue;
     const std::int64_t lead = cluster.first_time - alert.time;
     alert.best_lead = std::max(alert.best_lead, lead);
     best_alert_lead = std::max(best_alert_lead, lead);
@@ -107,16 +68,14 @@ util::UnixSeconds PrecursorMiner::earliest_deadline() const {
 }
 
 void PrecursorMiner::prune_warns(util::UnixSeconds t) {
-  // The WARN ring only needs to reach back one horizon behind the
-  // earliest unresolved interruption (or behind `t` when idle).
-  const util::UnixSeconds keep_from =
-      (pending_.empty() ? t : pending_.front().first_time) - horizon_;
-  while (!warns_.empty() && warns_.front().time < keep_from)
-    warns_.pop_front();
+  // The search only needs WARNs back one horizon behind the earliest
+  // unresolved interruption (or behind `t` when idle).
+  search_.forget_before(
+      (pending_.empty() ? t : pending_.front().first_time) - horizon_);
 }
 
 void PrecursorMiner::advance(util::UnixSeconds t) {
-  // Fast path: nothing pending is due yet. Ring pruning rides on the
+  // Fast path: nothing pending is due yet. WARN pruning rides on the
   // WARN-arrival path instead, so the whole call is one compare for the
   // vast majority of records.
   if (t <= wake_at_) return;
@@ -138,10 +97,9 @@ void PrecursorMiner::advance(util::UnixSeconds t) {
   wake_at_ = earliest_deadline();
 }
 
-PrecursorMiner::RasOutcome PrecursorMiner::observe_ras(
-    const raslog::RasEvent& event) {
-  RasOutcome outcome;
-
+bool PrecursorMiner::observe_ras(const raslog::RasEvent& event,
+                                 bool opened_interruption) {
+  bool alerted = false;
   if (event.severity == raslog::Severity::kWarn) {
     CategoryScore& cat = categories_[category_index(event.category)];
     ++cat.warns;
@@ -150,38 +108,22 @@ PrecursorMiner::RasOutcome PrecursorMiner::observe_ras(
     // a zero-hit score of 0.0 must not clear an alert_min_score of 0.
     if (cat.hits > 0 && cat.warns >= alert_min_warns_ &&
         cat.score() >= alert_min_score_) {
-      PendingAlert alert;
-      alert.time = event.timestamp;
-      alert.location = event.location;
-      alert.message_id = event.message_id;
-      alerts_.push_back(std::move(alert));
+      alerts_.push_back({event.timestamp, event.location});
       ++alerts_emitted_;
-      outcome.alerted = true;
+      alerted = true;
       wake_at_ = std::min(wake_at_, event.timestamp + horizon_);
     }
-    WarnEntry entry;
-    entry.time = event.timestamp;
-    entry.location = event.location;
-    entry.category = event.category;
-    entry.message_id = event.message_id;
-    warns_.push_back(std::move(entry));
+    search_.add_warn(event);
     prune_warns(event.timestamp);
   }
 
-  // The clustering clone ignores non-matching severities itself. A grown
-  // cluster count means this event opened a new interruption, whose
-  // representative (earliest member) is the event itself.
-  const std::uint64_t before = clustering_.interruptions();
-  clustering_.add(event);
-  if (clustering_.interruptions() > before) {
-    PendingCluster cluster;
-    cluster.first_time = event.timestamp;
-    cluster.representative = event;
-    pending_.push_back(std::move(cluster));
-    outcome.cluster_opened = true;
+  // An event that opened an interruption is its representative (earliest
+  // member).
+  if (opened_interruption) {
+    pending_.push_back({event.timestamp, event.location});
     wake_at_ = std::min(wake_at_, event.timestamp);
   }
-  return outcome;
+  return alerted;
 }
 
 void PrecursorMiner::finish() {
@@ -193,24 +135,7 @@ void PrecursorMiner::finish() {
     grade(alerts_.front());
     alerts_.pop_front();
   }
-  warns_.clear();
   wake_at_ = std::numeric_limits<util::UnixSeconds>::max();
-}
-
-core::LeadTimeResult PrecursorMiner::lead_time_result() const {
-  core::LeadTimeResult result;
-  result.per_interruption = per_interruption_;
-  result.with_precursor = with_precursor_;
-  result.without_precursor = without_precursor_;
-  const std::uint64_t total = with_precursor_ + without_precursor_;
-  result.coverage = total > 0 ? static_cast<double>(with_precursor_) /
-                                    static_cast<double>(total)
-                              : 0.0;
-  if (!leads_.empty()) {
-    result.median_lead_seconds = stats::median(leads_);
-    result.mean_lead_seconds = stats::mean(leads_);
-  }
-  return result;
 }
 
 }  // namespace failmine::predict

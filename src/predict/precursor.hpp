@@ -5,15 +5,14 @@
 // and the category co-occurrence study (X07).
 //
 // The miner keeps three sliding structures:
-//  * a WARN ring covering the precursor horizon behind the earliest
-//    still-unresolved interruption;
-//  * a pending-interruption queue: its own StreamingInterruptions clone
-//    of the pipeline's clustering opens a cluster per deduplicated fatal
-//    interruption, but the precursor search for a cluster first seen at
-//    time T is DEFERRED until the watermark passes T — a WARN stamped at
-//    exactly T may still arrive after the fatal under skewed replay, and
-//    the batch search window is inclusive (warn.timestamp <= T). This is
-//    the watermark-time (not arrival-time) scoring window that makes the
+//  * the WARNs of a core::PrecursorSearch (X02's search) covering the
+//    precursor horizon behind the earliest still-unresolved interruption;
+//  * a pending-interruption queue: the pipeline's filter says which event
+//    opened an interruption, but the precursor search for one first seen
+//    at time T is DEFERRED until the watermark passes T — a WARN stamped
+//    at exactly T may still arrive after the fatal under skewed replay,
+//    and the batch search window is inclusive (warn.timestamp <= T). This
+//    is the watermark-time (not arrival-time) scoring window that makes the
 //    streamed lead-time distribution bitwise-equal to X02's batch result
 //    even under seeded skew shuffle;
 //  * a pending-alert queue: a WARN whose category has proven predictive
@@ -38,7 +37,7 @@
 #include "core/lead_time.hpp"
 #include "predict/config.hpp"
 #include "raslog/event.hpp"
-#include "stream/operators.hpp"
+#include "topology/location.hpp"
 
 namespace failmine::predict {
 
@@ -57,21 +56,16 @@ class PrecursorMiner {
  public:
   explicit PrecursorMiner(const PredictConfig& config);
 
-  /// What one RAS event did, for the caller's cross-component wiring.
-  struct RasOutcome {
-    bool cluster_opened = false;  ///< a new deduplicated interruption
-    bool alerted = false;         ///< this WARN raised an alert
-  };
-
   /// Advances the miner's clock to watermark time `t`: resolves every
   /// pending interruption strictly older than `t` (its inclusive WARN
   /// window is then complete), then grades alerts whose match horizon
-  /// has fully passed, then prunes the WARN ring. Call before observing
+  /// has fully passed, then prunes the held WARNs. Call before observing
   /// any record stamped `t`.
   void advance(util::UnixSeconds t);
 
-  /// Feeds one RAS event (any severity) in watermark order.
-  RasOutcome observe_ras(const raslog::RasEvent& event);
+  /// Feeds one RAS event (any severity) in watermark order, with the
+  /// pipeline filter's verdict on it. Returns true when it raised an alert.
+  bool observe_ras(const raslog::RasEvent& event, bool opened_interruption);
 
   /// End of stream: resolves and grades everything still pending.
   void finish();
@@ -80,12 +74,10 @@ class PrecursorMiner {
 
   /// The streamed lead-time distribution in core::warning_lead_times's
   /// result shape (identical on the same stream — the parity anchor).
-  core::LeadTimeResult lead_time_result() const;
+  core::LeadTimeResult lead_time_result() const { return search_.result(); }
 
-  const std::vector<double>& leads() const { return leads_; }
-  std::uint64_t clusters_resolved() const {
-    return with_precursor_ + without_precursor_;
-  }
+  const std::vector<double>& leads() const { return search_.leads(); }
+  std::uint64_t clusters_resolved() const { return search_.resolved(); }
   std::uint64_t warns_seen() const { return warns_seen_; }
 
   const std::array<CategoryScore, std::size(raslog::kAllCategories)>&
@@ -111,46 +103,31 @@ class PrecursorMiner {
 
   std::size_t pending_clusters() const { return pending_.size(); }
   std::size_t pending_alerts() const { return alerts_.size(); }
-  std::size_t warn_ring_size() const { return warns_.size(); }
 
  private:
-  /// Slim retained form of a WARN (drops the free text; keeps exactly
-  /// what the similarity check and attribution need).
-  struct WarnEntry {
-    util::UnixSeconds time = 0;
-    topology::Location location = topology::Location::rack(0, 0);
-    raslog::Category category = raslog::Category::kSoftware;
-    std::string message_id;
-  };
-
   struct PendingCluster {
-    util::UnixSeconds first_time = 0;
-    raslog::RasEvent representative;
+    util::UnixSeconds first_time;
+    topology::Location location;  ///< the representative's
   };
 
   struct PendingAlert {
-    util::UnixSeconds time = 0;
-    topology::Location location = topology::Location::rack(0, 0);
-    std::string message_id;
+    util::UnixSeconds time;
+    topology::Location location;
     std::int64_t best_lead = -1;  ///< best matched lead so far, -1 = none
   };
 
   void resolve(const PendingCluster& cluster);
   void grade(const PendingAlert& alert);
-  bool matches(const topology::Location& location,
-               const std::string& message_id,
-               const raslog::RasEvent& representative) const;
   util::UnixSeconds earliest_deadline() const;
   void prune_warns(util::UnixSeconds t);
 
   std::int64_t horizon_;
+  topology::Level spatial_level_;
   double alert_min_score_;
   std::uint64_t alert_min_warns_;
   std::vector<std::int64_t> lead_horizons_;
-  core::FilterConfig similarity_;  ///< spatial_level only, as in X02
 
-  stream::StreamingInterruptions clustering_;
-  std::deque<WarnEntry> warns_;
+  core::PrecursorSearch search_;
   std::deque<PendingCluster> pending_;
   std::deque<PendingAlert> alerts_;
 
@@ -162,11 +139,6 @@ class PrecursorMiner {
 
   std::array<CategoryScore, std::size(raslog::kAllCategories)> categories_{};
   std::uint64_t warns_seen_ = 0;
-
-  std::vector<core::Precursor> per_interruption_;
-  std::vector<double> leads_;
-  std::uint64_t with_precursor_ = 0;
-  std::uint64_t without_precursor_ = 0;
 
   std::uint64_t clusters_alerted_ = 0;
   std::vector<std::uint64_t> clusters_alerted_at_;

@@ -3,57 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/metrics.hpp"
-#include "util/error.hpp"
-
 namespace failmine::stream {
-
-namespace {
-
-obs::Counter& interruptions_opened_counter() {
-  static obs::Counter& counter =
-      obs::metrics().counter("stream.interruptions_opened");
-  return counter;
-}
-
-}  // namespace
-
-// ---- StreamingInterruptions ------------------------------------------
-
-StreamingInterruptions::StreamingInterruptions(core::FilterConfig config)
-    : config_(std::move(config)) {
-  if (config_.window_seconds < 0)
-    throw failmine::DomainError("filter window must be non-negative");
-}
-
-void StreamingInterruptions::add(const raslog::RasEvent& event) {
-  if (event.severity != config_.severity) return;
-  ++input_events_;
-
-  // Mirror of core::filter_events: expire open clusters whose last
-  // member fell out of the sliding window, then join the most recently
-  // opened similar cluster, else open a new one.
-  std::erase_if(open_, [&](const OpenCluster& c) {
-    return c.last_time < event.timestamp - config_.window_seconds;
-  });
-  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
-    if (core::spatially_similar(it->representative, event, config_)) {
-      it->last_time = event.timestamp;
-      return;
-    }
-  }
-  OpenCluster c;
-  c.representative = event;
-  c.last_time = event.timestamp;
-  open_.push_back(std::move(c));
-  first_times_.push_back(event.timestamp);
-  interruptions_opened_counter().add(1);
-}
-
-core::MttiResult StreamingInterruptions::mtti(util::UnixSeconds begin,
-                                              util::UnixSeconds end) const {
-  return core::mtti_from_times(first_times_, begin, end);
-}
 
 // ---- ShardAggregates --------------------------------------------------
 

@@ -4,9 +4,10 @@
 // an ordered record stream.
 //
 // Two execution contexts exist in the pipeline:
-//  * order-sensitive operators (interruption clustering, rolling windows)
-//    run on the router thread, which sees the whole stream in watermark
-//    order;
+//  * order-sensitive operators (rolling windows here; the interruption
+//    clustering is core::SimilarityFilter itself, the batch filter's one
+//    implementation) run on the router thread, which sees the whole
+//    stream in watermark order;
 //  * order-insensitive, mergeable aggregates (exit breakdown, quantile
 //    and heavy-hitter sketches, severity totals) run sharded — each shard
 //    owns a ShardAggregates updated from its partition of the stream, and
@@ -14,9 +15,8 @@
 // The exit breakdown is the batch E02 accumulator (analysis::JobGroups
 // keyed by exit class), so its counts and shares equal the batch answer
 // exactly; per-class core-hours may differ in the last bits, because
-// merging shard partials reorders the f64 sums. The interruption count
-// equals the batch filter's exactly too; sketched statistics carry
-// documented error bounds instead.
+// merging shard partials reorders the f64 sums. Sketched statistics
+// carry documented error bounds instead.
 
 #pragma once
 
@@ -28,9 +28,7 @@
 #include <vector>
 
 #include "analysis/accumulators.hpp"
-#include "core/event_filter.hpp"
 #include "core/joint_analyzer.hpp"
-#include "core/mtti.hpp"
 #include "stream/heavy_hitters.hpp"
 #include "stream/quantile_sketch.hpp"
 #include "stream/record.hpp"
@@ -115,40 +113,6 @@ class RollingWindow {
   std::size_t newest_slot_ = 0;
   util::UnixSeconds newest_start_ = 0;
   util::UnixSeconds newest_end_ = 0;
-};
-
-/// Streaming E07/E08: single-pass similarity clustering of FATAL (or
-/// configured-severity) RAS events, replicating core::filter_events's
-/// greedy join order exactly, so the streamed interruption count matches
-/// the batch filter on the same ordered stream.
-class StreamingInterruptions {
- public:
-  explicit StreamingInterruptions(core::FilterConfig config);
-
-  /// Feeds one RAS event (any severity; mismatches are ignored). Events
-  /// must arrive in the stream's watermark order.
-  void add(const raslog::RasEvent& event);
-
-  std::uint64_t input_events() const { return input_events_; }
-  std::uint64_t interruptions() const { return first_times_.size(); }
-
-  /// MTTI over [begin, end): core::mtti_from_times over the first times
-  /// of the interruptions opened so far, as core::compute_mtti runs it on
-  /// the batch filter's clusters.
-  core::MttiResult mtti(util::UnixSeconds begin, util::UnixSeconds end) const;
-
-  const core::FilterConfig& config() const { return config_; }
-
- private:
-  struct OpenCluster {
-    raslog::RasEvent representative;
-    util::UnixSeconds last_time = 0;
-  };
-
-  core::FilterConfig config_;
-  std::vector<OpenCluster> open_;          ///< creation order, expired lazily
-  std::vector<util::UnixSeconds> first_times_;  ///< one per cluster, in order
-  std::uint64_t input_events_ = 0;
 };
 
 /// The mergeable per-shard aggregate bank.

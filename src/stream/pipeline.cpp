@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/mtti.hpp"
 #include "obs/causal.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -54,7 +55,7 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 StreamPipeline::RouterState::RouterState(const StreamConfig& config)
-    : interruptions(config.filter),
+    : filter(config.filter),
       job_window(config.window_bucket_seconds, config.window_buckets),
       severity_window(config.window_bucket_seconds, config.window_buckets) {}
 
@@ -105,6 +106,8 @@ StreamPipeline::StreamPipeline(StreamConfig config)
   inst_.reorder_buffered = &reg.gauge("stream.reorder.buffered", labels_);
   inst_.stalled_shards = &reg.gauge("stream.stalled_shards", labels_);
   inst_.shard_stalls = &reg.counter("stream.shard_stalls", labels_);
+  inst_.interruptions_opened =
+      &reg.counter("stream.interruptions_opened", labels_);
   inst_.router_batch_us = &reg.histogram(
       "stream.router.batch_us", labels_,
       {10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000});
@@ -166,6 +169,7 @@ void StreamPipeline::route(const StreamRecord& record, std::size_t row,
                            ShardRows& rows) {
   // Caller holds router_mutex_: the record arrives here in watermark
   // order, so the order-sensitive operators see the sorted stream.
+  bool opened_interruption = false;
   switch (record.source()) {
     case RecordSource::kJob: {
       const auto& job = std::get<joblog::JobRecord>(record.payload);
@@ -179,14 +183,16 @@ void StreamPipeline::route(const StreamRecord& record, std::size_t row,
       router_.window.add_event(event.timestamp);
       router_.severity_window.add(record.time,
                                   static_cast<std::size_t>(event.severity));
-      router_.interruptions.add(event);
+      opened_interruption = router_.filter.add(event);
+      if (opened_interruption) inst_.interruptions_opened->add();
       break;
     }
     case RecordSource::kTask:
     case RecordSource::kIo:
       break;  // nothing order-sensitive; the batch window ignores these too
   }
-  if (config_.router_operator) config_.router_operator->observe(record);
+  if (config_.router_operator)
+    config_.router_operator->observe(record, opened_interruption);
   if (record.trace != 0)
     obs::causal_tracer().stamp(record.trace, kCausalReorder);
   rows[shard_of(record, shards_.size())].push_back(
@@ -483,11 +489,11 @@ StreamSnapshot StreamPipeline::snapshot() const {
                     : 0.0;
     snap.window_severity = router_.severity_window.totals(router_.newest_seen);
 
-    snap.fatal_input_events = router_.interruptions.input_events();
-    snap.interruptions = router_.interruptions.interruptions();
+    snap.fatal_input_events = router_.filter.input_events();
+    snap.interruptions = router_.filter.clusters().size();
     if (!router_.window.empty() && snap.window_end > snap.window_begin)
-      snap.mtti =
-          router_.interruptions.mtti(snap.window_begin, snap.window_end);
+      snap.mtti = core::compute_mtti(router_.filter.clusters(),
+                                     snap.window_begin, snap.window_end);
   }
   snap.span_days = static_cast<double>(snap.window_end - snap.window_begin) /
                    static_cast<double>(util::kSecondsPerDay);

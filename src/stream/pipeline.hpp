@@ -11,11 +11,12 @@
 //
 // The router is the single consumer of the ingest ring. It restores
 // bounded out-of-order arrivals to event-time order, runs the
-// order-sensitive operators (interruption clustering for streaming MTTI,
-// rolling windows) on the ordered stream, and routes each record to a
-// shard worker by stable key (user for jobs, owning job for tasks/IO,
-// location for RAS) for the mergeable per-record work: exit-class
-// accounting, the runtime quantile sketch and the heavy-hitter sketches.
+// order-sensitive operators (the batch E07 filter, core::SimilarityFilter,
+// for streaming MTTI; rolling windows) on the ordered stream, and routes
+// each record to a shard worker by stable key (user for jobs, owning job
+// for tasks/IO, location for RAS) for the mergeable per-record work:
+// exit-class accounting, the runtime quantile sketch and the
+// heavy-hitter sketches.
 //
 // Records move as batches that each thread reads in place. The router
 // pops a producer's batch whole. With lateness 0 the popped batch is
@@ -42,7 +43,8 @@
 // counters `stream.records_in`, `stream.records_dropped`,
 // `stream.records_late`, `stream.records_processed` (cross-shard total,
 // the canonical throughput series for obs::tsdb range queries),
-// `stream.shard_stalls`, per-shard `stream.shard<i>.processed`; gauges
+// `stream.shard_stalls`, `stream.interruptions_opened` (clusters the
+// router's filter opened), per-shard `stream.shard<i>.processed`; gauges
 // `stream.queue_depth`, `stream.watermark_lag_s`,
 // `stream.reorder.buffered`, `stream.stalled_shards`,
 // `stream.ingest.occupancy`, rolling-window trends
@@ -128,7 +130,9 @@ struct StreamConfig {
   std::size_t window_buckets = 24;
 
   /// Interruption filter for streaming MTTI (streaming E08); defaults
-  /// match the batch pipeline's FilterConfig defaults.
+  /// match the batch pipeline's FilterConfig defaults. The router_operator
+  /// reads this filter's verdicts, so it also sets the predictor's
+  /// (`--predict`) interruptions.
   core::FilterConfig filter;
 
   /// Rank-error bound of the runtime quantile sketch.
@@ -220,7 +224,7 @@ class StreamPipeline {
   struct RouterState {
     RouterState(const StreamConfig& config);
 
-    StreamingInterruptions interruptions;
+    core::SimilarityFilter filter;     ///< streaming E07/E08
     RollingWindow<2> job_window;       ///< [0]=jobs ended, [1]=failures
     RollingWindow<3> severity_window;  ///< INFO / WARN / FATAL
     analysis::ObservationWindow window;
@@ -291,6 +295,7 @@ class StreamPipeline {
     obs::Gauge* reorder_buffered = nullptr;
     obs::Gauge* stalled_shards = nullptr;
     obs::Counter* shard_stalls = nullptr;
+    obs::Counter* interruptions_opened = nullptr;
     obs::Histogram* router_batch_us = nullptr;
   };
 

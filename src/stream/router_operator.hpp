@@ -6,6 +6,8 @@
 // record *after* watermark reordering, so an operator sees the exact
 // event-time order a batch pass over the same records would — the basis
 // for the batch/stream parity guarantees downstream subsystems rely on.
+// Each record comes with the router's similarity-filter verdict, so an
+// operator reads the pipeline's interruptions instead of clustering again.
 //
 // Threading contract: observe(), finish() and snapshot_json() are all
 // invoked under the pipeline's router mutex (observe/finish from the
@@ -27,8 +29,11 @@ class RouterOperator {
  public:
   virtual ~RouterOperator() = default;
 
-  /// One record in watermark (event-time) order.
-  virtual void observe(const StreamRecord& record) = 0;
+  /// One record in watermark (event-time) order. `opened_interruption`
+  /// is true when it opened a cluster in the router's similarity filter
+  /// (StreamConfig::filter).
+  virtual void observe(const StreamRecord& record,
+                       bool opened_interruption) = 0;
 
   /// End of stream: flush any pending windows so the next snapshot is
   /// exact. Called once, after the reorder buffer has drained.

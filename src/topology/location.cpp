@@ -1,5 +1,6 @@
 #include "topology/location.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 
@@ -232,6 +233,12 @@ std::optional<Level> Location::common_level(const Location& other) const {
     }
   }
   return best;
+}
+
+bool Location::near(const Location& other, Level radius) const {
+  const auto common = common_level(other);
+  return common.has_value() &&
+         *common >= std::min({radius, level_, other.level_});
 }
 
 NodeIndex Location::node_index(const MachineConfig& config) const {

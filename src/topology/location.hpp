@@ -77,6 +77,13 @@ class Location {
   /// rack at all.
   std::optional<Level> common_level(const Location& other) const;
 
+  /// The spatial predicate of the similarity filter, the precursor
+  /// search and the co-occurrence study: the two share an ancestor at
+  /// `radius` or deeper. A location shallower than `radius` covers
+  /// everything beneath it, so the requirement relaxes to
+  /// min(radius, level(), other.level()).
+  bool near(const Location& other, Level radius) const;
+
   /// Node index of a card-or-deeper location in the linearized machine.
   NodeIndex node_index(const MachineConfig& config) const;
 

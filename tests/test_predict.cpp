@@ -326,11 +326,14 @@ PredictConfig miner_config() {
 TEST(PredictMiner, AttributesLatestSimilarWarnAsPrecursor) {
   PrecursorMiner miner(miner_config());
   miner.advance(1000);
-  miner.observe_ras(ras_at(1000, raslog::Severity::kWarn, 0, "00010001"));
+  miner.observe_ras(ras_at(1000, raslog::Severity::kWarn, 0, "00010001"),
+                    false);
   miner.advance(2000);
-  miner.observe_ras(ras_at(2000, raslog::Severity::kWarn, 0, "00010002"));
+  miner.observe_ras(ras_at(2000, raslog::Severity::kWarn, 0, "00010002"),
+                    false);
   miner.advance(2500);
-  miner.observe_ras(ras_at(2500, raslog::Severity::kFatal, 0, "000f0001"));
+  miner.observe_ras(ras_at(2500, raslog::Severity::kFatal, 0, "000f0001"),
+                    true);
   miner.finish();
 
   const auto r = miner.lead_time_result();
@@ -347,9 +350,11 @@ TEST(PredictMiner, DistantWarnIsNotAPrecursor) {
   PrecursorMiner miner(miner_config());
   miner.advance(1000);
   // Different midplane: fails the spatial similarity.
-  miner.observe_ras(ras_at(1000, raslog::Severity::kWarn, 1, "00010001"));
+  miner.observe_ras(ras_at(1000, raslog::Severity::kWarn, 1, "00010001"),
+                    false);
   miner.advance(1500);
-  miner.observe_ras(ras_at(1500, raslog::Severity::kFatal, 0, "000f0001"));
+  miner.observe_ras(ras_at(1500, raslog::Severity::kFatal, 0, "000f0001"),
+                    true);
   miner.finish();
   const auto r = miner.lead_time_result();
   EXPECT_EQ(r.with_precursor, 0u);
@@ -364,10 +369,12 @@ TEST(PredictMiner, EqualTimestampWarnAfterFatalStillCounts) {
   // advances — must still attribute it.
   PrecursorMiner miner(miner_config());
   miner.advance(2000);
-  miner.observe_ras(ras_at(2000, raslog::Severity::kFatal, 0, "000f0001"));
+  miner.observe_ras(ras_at(2000, raslog::Severity::kFatal, 0, "000f0001"),
+                    true);
   EXPECT_EQ(miner.pending_clusters(), 1u);
   miner.advance(2000);  // same-stamp records keep streaming
-  miner.observe_ras(ras_at(2000, raslog::Severity::kWarn, 0, "00010009"));
+  miner.observe_ras(ras_at(2000, raslog::Severity::kWarn, 0, "00010009"),
+                    false);
   EXPECT_EQ(miner.pending_clusters(), 1u);  // still deferred
   miner.advance(2001);  // watermark passes: now the window is complete
   EXPECT_EQ(miner.pending_clusters(), 0u);
@@ -386,21 +393,26 @@ TEST(PredictMiner, GradesAlertsAgainstLaterInterruptions) {
 
   // Make the MEMORY category predictive: one attributed interruption.
   miner.advance(1000);
-  miner.observe_ras(ras_at(1000, raslog::Severity::kWarn, 0, "00010001"));
+  miner.observe_ras(ras_at(1000, raslog::Severity::kWarn, 0, "00010001"),
+                    false);
   miner.advance(1100);
-  miner.observe_ras(ras_at(1100, raslog::Severity::kFatal, 0, "000f0001"));
+  miner.observe_ras(ras_at(1100, raslog::Severity::kFatal, 0, "000f0001"),
+                    true);
   miner.advance(10'000);  // resolve + expire everything near t=1000
   EXPECT_EQ(miner.clusters_resolved(), 1u);
   EXPECT_EQ(miner.category_scores()[0].hits, 1u);
 
   // The next MEMORY WARN alerts; a similar fatal 600 s later matches it.
-  miner.observe_ras(ras_at(10'000, raslog::Severity::kWarn, 2, "00010001"));
+  miner.observe_ras(ras_at(10'000, raslog::Severity::kWarn, 2, "00010001"),
+                    false);
   EXPECT_EQ(miner.alerts_emitted(), 1u);
   miner.advance(10'600);
-  miner.observe_ras(ras_at(10'600, raslog::Severity::kFatal, 2, "000f0001"));
+  miner.observe_ras(ras_at(10'600, raslog::Severity::kFatal, 2, "000f0001"),
+                    true);
   // And one unmatched alert far away on another midplane.
   miner.advance(20'000);
-  miner.observe_ras(ras_at(20'000, raslog::Severity::kWarn, 3, "00010001"));
+  miner.observe_ras(ras_at(20'000, raslog::Severity::kWarn, 3, "00010001"),
+                    false);
   miner.finish();
 
   EXPECT_EQ(miner.alerts_graded(), 2u);
@@ -432,15 +444,17 @@ TEST(PredictOperatorTest, SnapshotJsonIsWellFormedAndCounts) {
   PredictConfig config = miner_config();
   PredictOperator op(config);
 
-  op.observe(record_of(ras_at(1000, raslog::Severity::kWarn, 0, "00010001")));
-  op.observe(record_of(ras_at(1500, raslog::Severity::kFatal, 0, "000f0001")));
+  op.observe(record_of(ras_at(1000, raslog::Severity::kWarn, 0, "00010001")),
+             false);
+  op.observe(record_of(ras_at(1500, raslog::Severity::kFatal, 0, "000f0001")),
+             true);
 
   tasklog::TaskRecord task = task_for(5, true);
   task.end_time = 1600;
   stream::StreamRecord task_record;
   task_record.time = 1600;
   task_record.payload = task;
-  op.observe(task_record);
+  op.observe(task_record, false);
 
   joblog::JobRecord job;
   job.job_id = 5;
@@ -453,7 +467,7 @@ TEST(PredictOperatorTest, SnapshotJsonIsWellFormedAndCounts) {
   stream::StreamRecord job_record;
   job_record.time = 1700;
   job_record.payload = job;
-  op.observe(job_record);
+  op.observe(job_record, false);
 
   op.finish();
   const auto snap = op.snapshot();

@@ -1,7 +1,8 @@
 // Tests for the incremental streaming operators: rolling windows, the
-// streaming interruption clusterer (vs the batch filter), and shard
-// routing. The shards' E02 partials are checked against a naive
-// reference in test_columnar_differential.cpp.
+// router's interruption clustering (core::SimilarityFilter fed event by
+// event, vs the batch filter), and shard routing. The shards' E02
+// partials are checked against a naive reference in
+// test_columnar_differential.cpp.
 
 #include "stream/operators.hpp"
 
@@ -13,6 +14,8 @@
 #include <random>
 #include <vector>
 
+#include "core/event_filter.hpp"
+#include "core/mtti.hpp"
 #include "sim/simulator.hpp"
 #include "topology/location.hpp"
 #include "util/error.hpp"
@@ -173,18 +176,18 @@ TEST(RollingWindow, MatchesDividingReferenceOnSeededTimes) {
   }
 }
 
-// ---- StreamingInterruptions vs batch filter ---------------------------
+// ---- the router's SimilarityFilter vs the batch filter ----------------
 
 TEST(StreamingInterruptions, MatchesBatchFilterOnSimulatedTrace) {
   const core::FilterConfig config;
   const core::FilterResult batch =
       core::filter_events(trace().ras_log, config);
 
-  StreamingInterruptions streaming(config);
+  core::SimilarityFilter streaming(config);
   for (const auto& event : trace().ras_log.events()) streaming.add(event);
 
   EXPECT_EQ(streaming.input_events(), batch.input_events);
-  EXPECT_EQ(streaming.interruptions(), batch.clusters.size());
+  EXPECT_EQ(streaming.clusters().size(), batch.clusters.size());
 }
 
 TEST(StreamingInterruptions, MttiMatchesBatchOnSimulatedTrace) {
@@ -198,9 +201,10 @@ TEST(StreamingInterruptions, MttiMatchesBatchOnSimulatedTrace) {
   const core::MttiResult expected =
       core::compute_mtti(batch.clusters, begin, end);
 
-  StreamingInterruptions streaming(config);
+  core::SimilarityFilter streaming(config);
   for (const auto& event : ras.events()) streaming.add(event);
-  const core::MttiResult got = streaming.mtti(begin, end);
+  const core::MttiResult got =
+      core::compute_mtti(streaming.clusters(), begin, end);
 
   EXPECT_EQ(got.interruptions, expected.interruptions);
   EXPECT_DOUBLE_EQ(got.mtti_days, expected.mtti_days);
@@ -209,8 +213,8 @@ TEST(StreamingInterruptions, MttiMatchesBatchOnSimulatedTrace) {
 }
 
 TEST(StreamingInterruptions, EmptyWindowThrows) {
-  StreamingInterruptions s{core::FilterConfig{}};
-  EXPECT_THROW(s.mtti(10, 10), DomainError);
+  core::SimilarityFilter s{core::FilterConfig{}};
+  EXPECT_THROW(core::compute_mtti(s.clusters(), 10, 10), DomainError);
 }
 
 // ---- shard routing and board keys -------------------------------------

@@ -1,5 +1,6 @@
 // Tests for the StreamPipeline: lifecycle, backpressure accounting,
-// snapshot consistency, metrics wiring, and shard-count invariance.
+// snapshot consistency, metrics wiring (the router operator included),
+// and shard-count invariance.
 
 #include "stream/pipeline.hpp"
 
@@ -8,11 +9,13 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "predict/operator.hpp"
 #include "sim/replay.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
@@ -157,6 +160,30 @@ TEST(StreamPipeline, FeedsObsMetrics) {
   // The gauges exist and settle at drained values after finish().
   EXPECT_EQ(registry.gauge("stream.queue_depth").value(), 0.0);
   EXPECT_EQ(registry.gauge("stream.watermark_lag_s").value(), 0.0);
+}
+
+TEST(StreamPipeline, InterruptionsOpenedCountsEachInterruptionOncePerTwin) {
+  // With the predictor attached, the router's similarity filter is the
+  // only one: its counter, under the twin's label, reads the snapshot's
+  // interruption count, and so does the predictor's.
+  auto& registry = obs::metrics();
+  obs::Counter& opened =
+      registry.counter("stream.interruptions_opened", {{"twin", "tX"}});
+  obs::Counter& predicted = registry.counter("predict.interruptions");
+  const std::uint64_t opened_before = opened.value();
+  const std::uint64_t predicted_before = predicted.value();
+
+  auto op =
+      std::make_shared<predict::PredictOperator>(predict::PredictConfig{});
+  StreamConfig config = small_config(2);
+  config.twin = "tX";
+  config.router_operator = op;
+  const auto snap = run_all(config);
+
+  ASSERT_GT(snap.interruptions, 0u);
+  EXPECT_EQ(opened.value() - opened_before, snap.interruptions);
+  EXPECT_EQ(predicted.value() - predicted_before, snap.interruptions);
+  EXPECT_EQ(op->snapshot().interruptions, snap.interruptions);
 }
 
 TEST(StreamPipeline, SnapshotJsonIsWellFormedEnough) {
