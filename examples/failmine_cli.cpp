@@ -13,6 +13,10 @@
 //       similarity filtering + MTTI
 //   fit      --data DIR [--min-sample N]
 //       per-exit-class execution-length distribution study (E05)
+//   experiments [--scale S]
+//       simulates the documented trace (scale 0.1 unless --scale) and
+//       prints the paper's tables E01–E14 and X01–X08 as the marked
+//       blocks EXPERIMENTS.md holds (see examples/experiments.hpp)
 //   stream   --data DIR [--shards N] [--lateness SEC] [--shuffle SEC]
 //            [--seed N] [--policy block|drop] [--queue N] [--interval N]
 //            [--serve PORT] [--serve-linger SEC] [--trace-sample N]
@@ -75,12 +79,17 @@
 //                        stacks to PATH (flamegraph.pl / speedscope);
 //                        the per-span CPU table prints to stderr
 //
+// Numeric flags must parse whole (`--window 12abc` is an error, not 12),
+// doubles must be finite, and flags stored as unsigned values reject
+// negatives and out-of-range values; each such error exits 2.
+//
 // Exit status: 0 on success (and, for `report`, only if all claims pass).
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iterator>
@@ -93,6 +102,7 @@
 #include "columnar/engine.hpp"
 #include "columnar/load.hpp"
 #include "core/report.hpp"
+#include "experiments.hpp"
 #include "obs/alerts.hpp"
 #include "predict/operator.hpp"
 #include "obs/causal.hpp"
@@ -105,6 +115,7 @@
 #include "stream/fleet.hpp"
 #include "stream/pipeline.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -145,19 +156,50 @@ class ArgMap {
     return it == values_.end() ? fallback : it->second;
   }
 
+  /// The whole value as a finite double.
   double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    try {
+      const double value = util::parse_double(it->second);
+      if (std::isfinite(value)) return value;
+    } catch (const failmine::ParseError&) {
+    }
+    reject(key, "a finite number");
   }
 
+  /// The whole value as a signed integer.
   long long get_int(const std::string& key, long long fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    try {
+      return util::parse_int(it->second);
+    } catch (const failmine::ParseError&) {
+      reject(key, "an integer");
+    }
+  }
+
+  /// get_int for a flag stored as an unsigned value: a negative value or
+  /// one above `max` is an error, not a wrap or a clamp.
+  std::uint64_t get_unsigned(const std::string& key, std::uint64_t fallback,
+                             std::uint64_t max = INT64_MAX) const {
+    if (!has(key)) return fallback;
+    const long long value = get_int(key, 0);
+    if (value < 0) reject(key, "a non-negative integer");
+    if (static_cast<std::uint64_t>(value) > max)
+      reject(key, "an integer <= " + std::to_string(max));
+    return static_cast<std::uint64_t>(value);
   }
 
   bool has(const std::string& key) const { return values_.contains(key); }
 
  private:
+  [[noreturn]] void reject(const std::string& key,
+                           const std::string& expected) const {
+    throw failmine::ParseError("--" + key + " expects " + expected +
+                               ", got '" + values_.at(key) + "'");
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -166,13 +208,15 @@ constexpr int kUsageExitCode = 2;
 
 void print_usage() {
   std::fprintf(stderr,
-               "usage: failmine_cli <simulate|summary|report|mtti|fit|stream> "
+               "usage: failmine_cli "
+               "<simulate|summary|report|mtti|fit|stream|experiments> "
                "[options]\n"
                "  simulate --out DIR [--scale S] [--seed N] [--days D]\n"
                "  summary  --data DIR [--columnar]\n"
                "  report   --data DIR [--scale S] [--format text|json]\n"
                "  mtti     --data DIR [--window SEC] [--radius LEVEL]\n"
                "  fit      --data DIR [--min-sample N]\n"
+               "  experiments [--scale S]\n"
                "  stream   --data DIR [--shards N] [--lateness SEC] "
                "[--shuffle SEC]\n"
                "           [--seed N] [--policy block|drop] [--queue N] "
@@ -194,8 +238,8 @@ void print_usage() {
 
 ingest::LoadOptions load_options(const ArgMap& args) {
   ingest::LoadOptions options;
-  options.threads =
-      static_cast<unsigned>(std::max(0LL, args.get_int("ingest-threads", 0)));
+  options.threads = static_cast<unsigned>(
+      args.get_unsigned("ingest-threads", 0, UINT32_MAX));
   return options;
 }
 
@@ -307,7 +351,7 @@ int cmd_fit(const ArgMap& args) {
   const auto data = load(args);
   const auto analyzer = make_analyzer(data);
   const auto min_sample =
-      static_cast<std::size_t>(args.get_int("min-sample", 40));
+      static_cast<std::size_t>(args.get_unsigned("min-sample", 40));
   const auto rows = analyzer.runtime_distribution_study(min_sample);
   if (rows.empty()) {
     std::printf("no failure class reaches %zu samples\n", min_sample);
@@ -326,6 +370,14 @@ int cmd_fit(const ArgMap& args) {
   return 0;
 }
 
+int cmd_experiments(const ArgMap& args) {
+  sim::SimConfig config = sim::SimConfig::bench_scale();
+  config.scale = args.get_double("scale", config.scale);
+  const experiments::ExperimentInput input(config);
+  experiments::print_all(input, stdout);
+  return 0;
+}
+
 stream::BackpressurePolicy parse_policy(const std::string& name) {
   if (name == "block") return stream::BackpressurePolicy::kBlock;
   if (name == "drop") return stream::BackpressurePolicy::kDropNewest;
@@ -338,17 +390,16 @@ stream::StreamConfig stream_config_from(const ArgMap& args,
                                         long long shuffle) {
   stream::StreamConfig config;
   config.machine = topology::MachineConfig::mira();
-  config.shard_count =
-      static_cast<std::size_t>(args.get_int("shards", config.shard_count));
+  config.shard_count = static_cast<std::size_t>(
+      args.get_unsigned("shards", config.shard_count));
   // Twice the shuffle skew restores exact event-time order (see
   // sim/replay.hpp).
   config.max_lateness_seconds = args.get_int("lateness", 2 * shuffle);
   config.policy = parse_policy(args.get("policy", "block"));
   config.queue_capacity = static_cast<std::size_t>(
-      args.get_int("queue", static_cast<long long>(config.queue_capacity)));
-  config.trace_sample_period = static_cast<std::uint32_t>(std::max(
-      0LL, (long long)args.get_int("trace-sample",
-                                   config.trace_sample_period)));
+      args.get_unsigned("queue", config.queue_capacity));
+  config.trace_sample_period = static_cast<std::uint32_t>(args.get_unsigned(
+      "trace-sample", config.trace_sample_period, UINT32_MAX));
   return config;
 }
 
@@ -360,11 +411,18 @@ stream::StreamConfig stream_config_from(const ArgMap& args,
 /// per-label-group alert rules all separate the twins; the final
 /// fleet_json() rollup goes to stdout.
 int cmd_stream_fleet(const ArgMap& args) {
-  const std::size_t twin_count = static_cast<std::size_t>(
-      std::max(1LL, (long long)args.get_int("fleet", 2)));
+  const std::size_t twin_count =
+      static_cast<std::size_t>(args.get_unsigned("fleet", 2));
   const long long shuffle = args.get_int("shuffle", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20130409));
   const double scale = args.get_double("scale", 0.01);
+  // Every flag is read before a thread starts, so a bad value exits
+  // cleanly.
+  const stream::StreamConfig base = stream_config_from(args, shuffle);
+  const double tsdb_seconds = std::max(0.05, args.get_double("tsdb", 1.0));
+  const auto serve_port =
+      static_cast<std::uint16_t>(args.get_unsigned("serve", 0, UINT16_MAX));
+  const long long linger = args.get_int("serve-linger", 0);
 
   // Per-twin divergent workloads, simulated in process (--data is not
   // required in fleet mode).
@@ -386,13 +444,12 @@ int cmd_stream_fleet(const ArgMap& args) {
 
   stream::FleetConfig fleet_config;
   fleet_config.twin_count = twin_count;
-  fleet_config.base = stream_config_from(args, shuffle);
+  fleet_config.base = base;
   stream::StreamFleet fleet(fleet_config);
 
   const bool tsdb_enabled = args.has("tsdb");
   if (tsdb_enabled) {
-    const double seconds = std::max(0.05, args.get_double("tsdb", 1.0));
-    obs::tsdb().start(static_cast<std::int64_t>(seconds * 1000.0));
+    obs::tsdb().start(static_cast<std::int64_t>(tsdb_seconds * 1000.0));
     obs::alerts().set_history(&obs::tsdb());
   }
 
@@ -411,7 +468,7 @@ int cmd_stream_fleet(const ArgMap& args) {
   std::unique_ptr<obs::TelemetryServer> server;
   if (args.has("serve")) {
     obs::ServeConfig serve_config;
-    serve_config.port = static_cast<std::uint16_t>(args.get_int("serve", 0));
+    serve_config.port = serve_port;
     server = std::make_unique<obs::TelemetryServer>(serve_config);
     server->set_fleet_handler([&fleet] { return fleet.fleet_json(); });
     server->set_snapshot_handler(
@@ -464,7 +521,6 @@ int cmd_stream_fleet(const ArgMap& args) {
             .c_str(),
         stderr);
   if (server != nullptr) {
-    const long long linger = args.get_int("serve-linger", 0);
     if (linger > 0) std::this_thread::sleep_for(std::chrono::seconds(linger));
     server->stop();
   }
@@ -474,13 +530,21 @@ int cmd_stream_fleet(const ArgMap& args) {
 
 int cmd_stream(const ArgMap& args) {
   if (args.has("fleet")) return cmd_stream_fleet(args);
-  const auto data = load(args);
   const long long shuffle = args.get_int("shuffle", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20130409));
+  // Every flag is read before the load and before a thread starts, so a
+  // bad value exits at once and cleanly.
+  stream::StreamConfig config = stream_config_from(args, shuffle);
+  const double tsdb_seconds = std::max(0.05, args.get_double("tsdb", 1.0));
+  const auto serve_port =
+      static_cast<std::uint16_t>(args.get_unsigned("serve", 0, UINT16_MAX));
+  const auto interval =
+      static_cast<std::size_t>(args.get_unsigned("interval", 100000));
+  const long long linger = args.get_int("serve-linger", 0);
+
+  const auto data = load(args);
   auto records = shuffle > 0 ? sim::shuffled_replay(data, shuffle, seed)
                              : sim::build_replay(data);
-
-  stream::StreamConfig config = stream_config_from(args, shuffle);
 
   // --predict attaches the failure-prediction subsystem as a router
   // operator: precursor mining, per-job risk scoring and the adaptive
@@ -505,8 +569,7 @@ int cmd_stream(const ArgMap& args) {
   // against history from their first poll.
   const bool tsdb_enabled = args.has("tsdb");
   if (tsdb_enabled) {
-    const double seconds = std::max(0.05, args.get_double("tsdb", 1.0));
-    obs::tsdb().start(static_cast<std::int64_t>(seconds * 1000.0));
+    obs::tsdb().start(static_cast<std::int64_t>(tsdb_seconds * 1000.0));
     obs::alerts().set_history(&obs::tsdb());
   }
 
@@ -525,7 +588,7 @@ int cmd_stream(const ArgMap& args) {
   std::unique_ptr<obs::TelemetryServer> server;
   if (args.has("serve")) {
     obs::ServeConfig serve_config;
-    serve_config.port = static_cast<std::uint16_t>(args.get_int("serve", 0));
+    serve_config.port = serve_port;
     server = std::make_unique<obs::TelemetryServer>(serve_config);
     server->set_snapshot_handler(
         [&pipeline] { return pipeline.snapshot().to_json(); });
@@ -538,8 +601,6 @@ int cmd_stream(const ArgMap& args) {
                  static_cast<unsigned>(server->port()));
   }
 
-  const auto interval =
-      static_cast<std::size_t>(args.get_int("interval", 100000));
   std::size_t next_report = interval;
   std::vector<stream::StreamRecord> chunk;
   for (std::size_t i = 0; i < records.size();) {
@@ -609,7 +670,6 @@ int cmd_stream(const ArgMap& args) {
   if (obs::causal_tracer().enabled())
     std::fputs(obs::causal_tracer().critical_path_text().c_str(), stderr);
   if (server != nullptr) {
-    const long long linger = args.get_int("serve-linger", 0);
     if (linger > 0) std::this_thread::sleep_for(std::chrono::seconds(linger));
     server->stop();
   }
@@ -638,6 +698,7 @@ int main(int argc, char** argv) {
     else if (command == "mtti") rc = cmd_mtti(args);
     else if (command == "fit") rc = cmd_fit(args);
     else if (command == "stream") rc = cmd_stream(args);
+    else if (command == "experiments") rc = cmd_experiments(args);
     else {
       std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
       print_usage();

@@ -3,8 +3,9 @@
 // Facade binding the four log sources into the paper's joint analyses.
 //
 // A JointAnalyzer borrows the four logs (it does not own them) and exposes
-// each headline analysis as one method. The bench binaries and the
-// takeaway report are thin formatters over this class.
+// each headline analysis as one method. The paper tables of
+// `failmine_cli experiments` and the takeaway report are thin formatters
+// over this class.
 
 #pragma once
 

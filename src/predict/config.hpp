@@ -19,8 +19,8 @@
 namespace failmine::predict {
 
 // ---- canonical shared constants ---------------------------------------
-// (consumed by bench_x02 / bench_x07 / bench_x08 / bench_p01 and by the
-// PredictConfig defaults below)
+// (consumed by the X02 / X07 / X08 tables of `failmine_cli experiments`,
+// by the P01 bench and by the PredictConfig defaults below)
 
 /// The lead-time horizons the X02 table sweeps.
 inline constexpr std::int64_t kLeadTimeHorizonsSeconds[] = {900, 3600, 7200,

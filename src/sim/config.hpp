@@ -100,7 +100,8 @@ struct SimConfig {
   /// Paper-sized trace (slow: ~500k jobs, ~5M RAS events).
   static SimConfig paper_scale();
 
-  /// 1/10 trace used by the benchmark harness by default.
+  /// 1/10 trace: the default of `failmine_cli experiments` (the tables
+  /// in EXPERIMENTS.md).
   static SimConfig bench_scale();
 
   /// Small trace for unit/integration tests (~2 seconds to generate).
