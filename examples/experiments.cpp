@@ -227,18 +227,19 @@ void e07(const ExperimentInput& in, std::FILE* out) {
                static_cast<long long>(config.window_seconds),
                topology::level_name(config.spatial_level).c_str());
   std::fprintf(out, "%-28s %10s %12s\n", "stage", "count", "reduction");
-  const double raw = static_cast<double>(pipeline.raw);
-  std::fprintf(out, "%-28s %10llu %11.1fx\n", "raw FATAL events",
-               ull(pipeline.raw), 1.0);
-  std::fprintf(out, "%-28s %10llu %11.1fx\n", "temporal-only clusters",
-               ull(pipeline.temporal_only),
-               raw / static_cast<double>(pipeline.temporal_only));
-  std::fprintf(out, "%-28s %10llu %11.1fx\n", "spatial-only components",
-               ull(pipeline.spatial_only),
-               raw / static_cast<double>(pipeline.spatial_only));
-  std::fprintf(out, "%-28s %10llu %11.1fx\n", "combined (similarity) filter",
-               ull(pipeline.combined),
-               raw / static_cast<double>(pipeline.combined));
+  // A trace without a FATAL event has empty stages: no reduction to print.
+  const auto stage = [&](const char* name, std::uint64_t count) {
+    if (count == 0)
+      std::fprintf(out, "%-28s %10llu %12s\n", name, ull(count), "n/a");
+    else
+      std::fprintf(out, "%-28s %10llu %11.1fx\n", name, ull(count),
+                   static_cast<double>(pipeline.raw) /
+                       static_cast<double>(count));
+  };
+  stage("raw FATAL events", pipeline.raw);
+  stage("temporal-only clusters", pipeline.temporal_only);
+  stage("spatial-only components", pipeline.spatial_only);
+  stage("combined (similarity) filter", pipeline.combined);
   std::fprintf(out, "ground-truth episodes in trace: %zu\n",
                in.data.episodes.size());
 

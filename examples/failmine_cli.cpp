@@ -81,7 +81,9 @@
 //
 // Numeric flags must parse whole (`--window 12abc` is an error, not 12),
 // doubles must be finite, and flags stored as unsigned values reject
-// negatives and out-of-range values; each such error exits 2.
+// negatives and out-of-range values. A flag the subcommand does not read
+// (`simulate --sede 5`) is an error before the command runs. Each such
+// error exits 2.
 //
 // Exit status: 0 on success (and, for `report`, only if all claims pass).
 
@@ -123,10 +125,13 @@ using namespace failmine;
 
 /// Minimal --key value / --key=value argument parser. A few flags are
 /// boolean and take no value (listed in kBooleanFlags); everything else
-/// consumes the next argv entry unless it was spelled --key=value.
+/// consumes the next argv entry unless it was spelled --key=value. A flag
+/// outside `known` (the flags the subcommand reads) is a ParseError
+/// naming it, so a misspelt flag fails instead of being ignored.
 class ArgMap {
  public:
-  ArgMap(int argc, char** argv, int first) {
+  ArgMap(int argc, char** argv, int first,
+         const std::vector<std::string>& known) {
     static const std::set<std::string> kBooleanFlags = {"columnar", "predict",
                                                         "tsdb"};
     for (int i = first; i < argc; ++i) {
@@ -137,8 +142,16 @@ class ArgMap {
       // --key=value spelling lets a boolean-ish flag carry an optional
       // value (--tsdb vs --tsdb=0.25).
       const auto eq = name.find('=');
+      const std::string flag = name.substr(0, eq);
+      if (std::find(known.begin(), known.end(), flag) == known.end()) {
+        std::string expected;
+        for (const auto& k : known)
+          expected += (expected.empty() ? "--" : ", --") + k;
+        throw failmine::ParseError("unknown flag --" + flag + " (expected " +
+                                   expected + ")");
+      }
       if (eq != std::string::npos) {
-        values_[name.substr(0, eq)] = name.substr(eq + 1);
+        values_[flag] = name.substr(eq + 1);
         continue;
       }
       if (kBooleanFlags.contains(name)) {
@@ -677,6 +690,32 @@ int cmd_stream(const ArgMap& args) {
   return 0;
 }
 
+/// A subcommand and every flag it reads; ArgMap rejects any other.
+struct Command {
+  int (*run)(const ArgMap&);
+  std::vector<std::string> flags;
+};
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> kCommands = {
+      {"simulate", {cmd_simulate, {"out", "scale", "seed", "days"}}},
+      {"summary", {cmd_summary, {"data", "columnar", "ingest-threads"}}},
+      {"report",
+       {cmd_report, {"data", "scale", "format", "ingest-threads"}}},
+      {"mtti", {cmd_mtti, {"data", "window", "radius", "ingest-threads"}}},
+      {"fit", {cmd_fit, {"data", "min-sample", "ingest-threads"}}},
+      {"experiments", {cmd_experiments, {"scale"}}},
+      // The single-pipeline and --fleet modes together.
+      {"stream",
+       {cmd_stream,
+        {"data", "ingest-threads", "shards", "lateness", "shuffle", "seed",
+         "policy", "queue", "interval", "serve", "serve-linger",
+         "trace-sample", "alert-rules", "predict", "tsdb", "fleet",
+         "scale"}}},
+  };
+  return kCommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -685,25 +724,19 @@ int main(int argc, char** argv) {
     return kUsageExitCode;
   }
   const std::string command = argv[1];
+  const auto it = commands().find(command);
+  if (it == commands().end()) {
+    std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
+    print_usage();
+    return kUsageExitCode;
+  }
   try {
     // Strips the global observability flags. The explicit flush() after
     // the subcommand lets an export failure surface as a nonzero exit
     // (the destructor can only print it).
     failmine::obs::ObsSession obs_session(&argc, argv);
-    const ArgMap args(argc, argv, 2);
-    int rc = -1;
-    if (command == "simulate") rc = cmd_simulate(args);
-    else if (command == "summary") rc = cmd_summary(args);
-    else if (command == "report") rc = cmd_report(args);
-    else if (command == "mtti") rc = cmd_mtti(args);
-    else if (command == "fit") rc = cmd_fit(args);
-    else if (command == "stream") rc = cmd_stream(args);
-    else if (command == "experiments") rc = cmd_experiments(args);
-    else {
-      std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-      print_usage();
-      return kUsageExitCode;
-    }
+    const ArgMap args(argc, argv, 2, it->second.flags);
+    const int rc = it->second.run(args);
     obs_session.flush();
     return rc;
   } catch (const failmine::Error& e) {

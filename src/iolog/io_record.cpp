@@ -51,17 +51,17 @@ const IoRecord& IoLog::by_job(std::uint64_t job_id) const {
 }
 
 void IoLog::write_csv(const std::string& path) const {
+  FAILMINE_TRACE_SPAN("iolog.write_csv");
   util::CsvWriter writer(path, io_csv_header());
   for (const auto& r : records_) {
-    writer.write_row({
-        std::to_string(r.job_id),
-        std::to_string(r.bytes_read),
-        std::to_string(r.bytes_written),
-        util::format_double(r.read_time_seconds, 3),
-        util::format_double(r.write_time_seconds, 3),
-        std::to_string(r.files_accessed),
-        std::to_string(r.ranks_doing_io),
-    });
+    writer.integer(r.job_id);
+    writer.integer(r.bytes_read);
+    writer.integer(r.bytes_written);
+    writer.fixed(r.read_time_seconds, 3);
+    writer.fixed(r.write_time_seconds, 3);
+    writer.integer(r.files_accessed);
+    writer.integer(r.ranks_doing_io);
+    writer.end_row();
   }
   writer.close();
 }

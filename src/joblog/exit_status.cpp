@@ -4,7 +4,7 @@
 
 namespace failmine::joblog {
 
-std::string exit_class_name(ExitClass cls) {
+std::string_view exit_class_token(ExitClass cls) {
   switch (cls) {
     case ExitClass::kSuccess: return "SUCCESS";
     case ExitClass::kUserAppError: return "USER_APP_ERROR";
@@ -18,9 +18,13 @@ std::string exit_class_name(ExitClass cls) {
   throw failmine::DomainError("unknown exit class");
 }
 
+std::string exit_class_name(ExitClass cls) {
+  return std::string(exit_class_token(cls));
+}
+
 ExitClass exit_class_from_name(std::string_view name) {
   for (ExitClass c : kAllExitClasses)
-    if (exit_class_name(c) == name) return c;
+    if (exit_class_token(c) == name) return c;
   throw failmine::ParseError("unknown exit class: '" + std::string(name) + "'");
 }
 

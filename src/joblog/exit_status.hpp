@@ -29,6 +29,9 @@ enum class ExitClass {
 };
 
 /// Canonical name ("SUCCESS", "USER_APP_ERROR", ...).
+std::string_view exit_class_token(ExitClass cls);
+
+/// exit_class_token as a string.
 std::string exit_class_name(ExitClass cls);
 
 /// Parses the canonical name; throws ParseError.

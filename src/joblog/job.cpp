@@ -71,24 +71,24 @@ std::vector<JobRecord> JobLog::failures() const {
 }
 
 void JobLog::write_csv(const std::string& path) const {
+  FAILMINE_TRACE_SPAN("joblog.write_csv");
   util::CsvWriter writer(path, job_csv_header());
   for (const auto& j : jobs_) {
-    writer.write_row({
-        std::to_string(j.job_id),
-        std::to_string(j.user_id),
-        std::to_string(j.project_id),
-        j.queue,
-        util::format_timestamp(j.submit_time),
-        util::format_timestamp(j.start_time),
-        util::format_timestamp(j.end_time),
-        std::to_string(j.nodes_used),
-        std::to_string(j.task_count),
-        std::to_string(j.requested_walltime),
-        std::to_string(j.exit_code),
-        std::to_string(j.exit_signal),
-        exit_class_name(j.exit_class),
-        std::to_string(j.partition_first_midplane),
-    });
+    writer.integer(j.job_id);
+    writer.integer(j.user_id);
+    writer.integer(j.project_id);
+    writer.text(j.queue);
+    writer.timestamp(j.submit_time);
+    writer.timestamp(j.start_time);
+    writer.timestamp(j.end_time);
+    writer.integer(j.nodes_used);
+    writer.integer(j.task_count);
+    writer.integer(j.requested_walltime);
+    writer.integer(j.exit_code);
+    writer.integer(j.exit_signal);
+    writer.text(exit_class_token(j.exit_class));
+    writer.integer(j.partition_first_midplane);
+    writer.end_row();
   }
   writer.close();
 }

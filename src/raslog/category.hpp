@@ -22,6 +22,9 @@ enum class Category {
 };
 
 /// Canonical name ("MEMORY", "PROCESSOR", ...).
+std::string_view category_token(Category category);
+
+/// category_token as a string.
 std::string category_name(Category category);
 
 /// Parses the canonical name; throws ParseError.

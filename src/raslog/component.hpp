@@ -30,6 +30,9 @@ enum class Component {
 };
 
 /// Canonical upper-case component token ("CNK", "MMCS", ...).
+std::string_view component_token(Component component);
+
+/// component_token as a string.
 std::string component_name(Component component);
 
 /// Parses the canonical token; throws ParseError.

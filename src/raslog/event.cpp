@@ -56,19 +56,23 @@ std::array<std::uint64_t, 3> RasLog::severity_counts() const {
 }
 
 void RasLog::write_csv(const std::string& path) const {
+  FAILMINE_TRACE_SPAN("raslog.write_csv");
   util::CsvWriter writer(path, ras_csv_header());
   for (const auto& e : events_) {
-    writer.write_row({
-        std::to_string(e.record_id),
-        util::format_timestamp(e.timestamp),
-        e.message_id,
-        severity_name(e.severity),
-        component_name(e.component),
-        category_name(e.category),
-        e.location.to_string(),
-        e.job_id ? std::to_string(*e.job_id) : "",
-        e.text,
-    });
+    writer.integer(e.record_id);
+    writer.timestamp(e.timestamp);
+    writer.text(e.message_id);
+    writer.text(severity_token(e.severity));
+    writer.text(component_token(e.component));
+    writer.text(category_token(e.category));
+    writer.append(topology::Location::kMaxChars,
+                  [&e](char* out) { return e.location.append_to(out); });
+    if (e.job_id)
+      writer.integer(*e.job_id);
+    else
+      writer.text({});
+    writer.text(e.text);
+    writer.end_row();
   }
   writer.close();
 }

@@ -5,8 +5,8 @@
 
 namespace failmine::raslog {
 
-// The parsers run once per RAS row, so they compare string_views against
-// constants and allocate nothing on the accepting path.
+// The parsers and the CSV writer run once per RAS row, so they work on the
+// string_view tokens and allocate nothing on the accepting path.
 
 namespace {
 
@@ -26,6 +26,17 @@ bool equals_lower(std::string_view name, std::string_view lower) {
 /// comparing the whole token (tokens are never empty).
 bool token_equals(std::string_view token, std::string_view name) {
   return token.size() == name.size() && token[0] == name[0] && token == name;
+}
+
+}  // namespace
+
+std::string_view severity_token(Severity severity) {
+  switch (severity) {
+    case Severity::kInfo: return "INFO";
+    case Severity::kWarn: return "WARN";
+    case Severity::kFatal: return "FATAL";
+  }
+  throw failmine::DomainError("unknown severity");
 }
 
 std::string_view component_token(Component component) {
@@ -62,15 +73,8 @@ std::string_view category_token(Category category) {
   throw failmine::DomainError("unknown category");
 }
 
-}  // namespace
-
 std::string severity_name(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo: return "INFO";
-    case Severity::kWarn: return "WARN";
-    case Severity::kFatal: return "FATAL";
-  }
-  throw failmine::DomainError("unknown severity");
+  return std::string(severity_token(severity));
 }
 
 Severity severity_from_name(std::string_view name) {

@@ -17,6 +17,9 @@ enum class Severity {
 };
 
 /// "INFO" / "WARN" / "FATAL".
+std::string_view severity_token(Severity severity);
+
+/// severity_token as a string.
 std::string severity_name(Severity severity);
 
 /// Parses the canonical name (case-insensitive); throws ParseError.

@@ -51,19 +51,19 @@ std::size_t TaskLog::task_count(std::uint64_t job_id) const {
 }
 
 void TaskLog::write_csv(const std::string& path) const {
+  FAILMINE_TRACE_SPAN("tasklog.write_csv");
   util::CsvWriter writer(path, task_csv_header());
   for (const auto& t : tasks_) {
-    writer.write_row({
-        std::to_string(t.task_id),
-        std::to_string(t.job_id),
-        std::to_string(t.sequence),
-        util::format_timestamp(t.start_time),
-        util::format_timestamp(t.end_time),
-        std::to_string(t.nodes_used),
-        std::to_string(t.ranks_per_node),
-        std::to_string(t.exit_code),
-        std::to_string(t.exit_signal),
-    });
+    writer.integer(t.task_id);
+    writer.integer(t.job_id);
+    writer.integer(t.sequence);
+    writer.timestamp(t.start_time);
+    writer.timestamp(t.end_time);
+    writer.integer(t.nodes_used);
+    writer.integer(t.ranks_per_node);
+    writer.integer(t.exit_code);
+    writer.integer(t.exit_signal);
+    writer.end_row();
   }
   writer.close();
 }

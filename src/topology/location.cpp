@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 
 #include "util/error.hpp"
 
@@ -152,24 +151,34 @@ Location Location::parse(std::string_view text, const MachineConfig& config) {
   return loc;
 }
 
-std::string Location::to_string() const {
-  std::string out = "R";
-  out.push_back(static_cast<char>('0' + rack_row_));
-  out.push_back(hex_digit_char(rack_column_));
+char* Location::append_to(char* out) const {
+  // Each deeper component is a tag and two decimal digits ("-N09").
+  const auto component = [&out](char tag, int v) {
+    out[0] = '-';
+    out[1] = tag;
+    out[2] = static_cast<char>('0' + v / 10);
+    out[3] = static_cast<char>('0' + v % 10);
+    out += 4;
+  };
+  *out++ = 'R';
+  *out++ = static_cast<char>('0' + rack_row_);
+  *out++ = hex_digit_char(rack_column_);
   if (level_ == Level::kRack) return out;
-  char buf[8];
-  out += "-M";
-  out.push_back(static_cast<char>('0' + midplane_));
+  *out++ = '-';
+  *out++ = 'M';
+  *out++ = static_cast<char>('0' + midplane_);
   if (level_ == Level::kMidplane) return out;
-  std::snprintf(buf, sizeof(buf), "-N%02d", board_);
-  out += buf;
+  component('N', board_);
   if (level_ == Level::kNodeBoard) return out;
-  std::snprintf(buf, sizeof(buf), "-J%02d", card_);
-  out += buf;
+  component('J', card_);
   if (level_ == Level::kComputeCard) return out;
-  std::snprintf(buf, sizeof(buf), "-C%02d", core_);
-  out += buf;
+  component('C', core_);
   return out;
+}
+
+std::string Location::to_string() const {
+  char buf[kMaxChars];
+  return std::string(buf, append_to(buf));
 }
 
 int Location::rack_index(const MachineConfig& config) const {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -54,7 +55,14 @@ class Location {
   /// DomainError if a component is out of range for `config`.
   static Location parse(std::string_view text, const MachineConfig& config);
 
-  /// Formats back to the canonical string.
+  /// Most bytes append_to writes ("R17-M0-N09-J23-C05").
+  static constexpr std::size_t kMaxChars = 18;
+
+  /// Writes the canonical string at `out`, which has room for kMaxChars
+  /// bytes, and returns the end.
+  char* append_to(char* out) const;
+
+  /// Formats back to the canonical string (append_to into a string).
   std::string to_string() const;
 
   Level level() const { return level_; }

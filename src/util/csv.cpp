@@ -1,6 +1,11 @@
 #include "util/csv.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -178,18 +183,38 @@ void split_unquoted_csv_fields(std::string_view line, FieldVec& out) {
   }
 }
 
-std::string escape_csv_field(std::string_view field) {
-  const bool needs_quoting =
-      field.find_first_of(",\"\n\r") != std::string_view::npos;
-  if (!needs_quoting) return std::string(field);
-  std::string out;
-  out.reserve(field.size() + 2);
-  out.push_back('"');
-  for (char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
+namespace {
+
+// The one RFC 4180 escape routine: writes `field` at `out`, which has
+// room for 2 * field.size() + 2 bytes, quoted if (and only if) it holds a
+// comma, quote, CR or LF, and returns the end. A plain byte loop tests
+// the field: string_view::find_first_of calls memchr once per byte.
+char* append_csv_field(char* out, std::string_view field) {
+  bool needs_quoting = false;
+  for (const char c : field)
+    if (c == ',' || c == '"' || c == '\n' || c == '\r') {
+      needs_quoting = true;
+      break;
+    }
+  if (!needs_quoting) {
+    if (!field.empty()) std::memcpy(out, field.data(), field.size());
+    return out + field.size();
   }
-  out.push_back('"');
+  *out++ = '"';
+  for (const char c : field) {
+    if (c == '"') *out++ = '"';
+    *out++ = c;
+  }
+  *out++ = '"';
+  return out;
+}
+
+}  // namespace
+
+std::string escape_csv_field(std::string_view field) {
+  std::string out(2 * field.size() + 2, '\0');
+  out.resize(static_cast<std::size_t>(append_csv_field(out.data(), field) -
+                                      out.data()));
   return out;
 }
 
@@ -202,26 +227,100 @@ std::string join_csv_line(const std::vector<std::string>& fields) {
   return line;
 }
 
-CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& header)
-    : out_(path), arity_(header.size()) {
-  if (!out_) throw IoError("cannot open for writing: " + path);
+CsvWriter::CsvWriter(const std::string& path,
+                     const std::vector<std::string>& header)
+    : path_(path), arity_(header.size()) {
   if (header.empty()) throw DomainError("CSV header must not be empty");
-  out_ << join_csv_line(header) << '\n';
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd_ < 0) throw IoError("cannot open for writing: " + path);
+  grow(kBlockBytes + kBlockBytes / 16);
+  for (const auto& name : header) text(name);
+  end_row();
+  rows_ = 0;  // the header is not a record
+}
+
+CsvWriter::~CsvWriter() {
+  if (fd_ < 0) return;
+  write_block();
+  ::close(fd_);
+}
+
+void CsvWriter::timestamp(UnixSeconds t) {
+  char* out = begin_field(kMaxTimestampChars);
+  used_ = static_cast<std::size_t>(append_timestamp(out, t) - buf_.get());
+}
+
+void CsvWriter::fixed(double value, int precision) {
+  if (precision < 0) throw DomainError("CSV fixed precision must be >= 0");
+  // The integer part of a finite double has at most 309 digits.
+  const std::size_t max_chars = 312 + static_cast<std::size_t>(precision);
+  char* out = begin_field(max_chars);
+  used_ = static_cast<std::size_t>(
+      std::to_chars(out, out + max_chars, value, std::chars_format::fixed,
+                    precision)
+          .ptr -
+      buf_.get());
+}
+
+void CsvWriter::text(std::string_view field) {
+  char* out = begin_field(2 * field.size() + 2);
+  used_ = static_cast<std::size_t>(append_csv_field(out, field) - buf_.get());
+}
+
+void CsvWriter::end_row() {
+  if (fields_ != arity_) {
+    const std::size_t fields = fields_;
+    used_ = row_start_;
+    fields_ = 0;
+    throw DomainError("CSV row arity " + std::to_string(fields) +
+                      " != header arity " + std::to_string(arity_));
+  }
+  if (used_ == capacity_) grow(1);
+  buf_[used_++] = '\n';
+  row_start_ = used_;
+  fields_ = 0;
+  ++rows_;
+  if (used_ >= kBlockBytes) write_block();
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  if (fields.size() != arity_)
-    throw DomainError("CSV row arity " + std::to_string(fields.size()) +
-                      " != header arity " + std::to_string(arity_));
-  out_ << join_csv_line(fields) << '\n';
-  ++rows_;
+  for (const auto& field : fields) text(field);
+  end_row();
 }
 
 void CsvWriter::close() {
-  if (out_.is_open()) {
-    out_.flush();
-    out_.close();
+  if (fd_ < 0) return;
+  write_block();
+  if (::close(fd_) != 0 && error_ == 0) error_ = errno;
+  fd_ = -1;
+  if (error_ != 0)
+    throw IoError("cannot write " + path_ + ": " + std::strerror(error_));
+}
+
+void CsvWriter::grow(std::size_t extra) {
+  const std::size_t capacity = std::max(used_ + extra, 2 * capacity_);
+  auto buf = std::make_unique_for_overwrite<char[]>(capacity);
+  if (used_ > 0) std::memcpy(buf.get(), buf_.get(), used_);
+  buf_ = std::move(buf);
+  capacity_ = capacity;
+}
+
+void CsvWriter::write_block() {
+  // After a failed write nothing more reaches the file; close() reports
+  // the first error.
+  for (std::size_t done = 0; error_ == 0 && done < row_start_;) {
+    const ssize_t n = ::write(fd_, buf_.get() + done, row_start_ - done);
+    if (n > 0)
+      done += static_cast<std::size_t>(n);
+    else if (n < 0 && errno == EINTR)
+      continue;
+    else
+      error_ = n < 0 ? errno : EIO;
   }
+  const std::size_t tail = used_ - row_start_;
+  if (tail > 0) std::memmove(buf_.get(), buf_.get() + row_start_, tail);
+  used_ = tail;
+  row_start_ = 0;
 }
 
 CsvReader::CsvReader(const std::string& path) : in_(path), path_(path) {

@@ -28,11 +28,16 @@
 
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstddef>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/time.hpp"
 
 namespace failmine::util {
 
@@ -113,22 +118,97 @@ std::string escape_csv_field(std::string_view field);
 /// Joins fields into one CSV line (no trailing newline).
 std::string join_csv_line(const std::vector<std::string>& fields);
 
-/// Streaming CSV writer with a mandatory header row.
+/// CSV writer with a mandatory header row. A row is built field by field
+/// with typed appends into one block buffer, and the buffer goes to the
+/// file in one write(2) per ~kBlockBytes of whole rows: integers through
+/// std::to_chars, timestamps through util::append_timestamp, doubles
+/// through std::to_chars(fixed), text through the one RFC 4180 escape
+/// routine that escape_csv_field, the header line and write_row share.
+/// No per-field string is made. A failed write is remembered and
+/// reported by close().
 class CsvWriter {
  public:
-  /// Opens `path` for writing and emits the header. Throws IoError.
+  /// The buffer is written out once it holds this many bytes of rows.
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+  /// Opens `path` for writing and buffers the header. Throws DomainError
+  /// on an empty header and IoError if the file cannot be opened.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
-  /// Appends one record; must have the same arity as the header.
+  /// Closes the file if close() has not; a write error found here is
+  /// dropped, so call close() to see it.
+  ~CsvWriter();
+
+  CsvWriter(const CsvWriter&) = delete;
+  CsvWriter& operator=(const CsvWriter&) = delete;
+
+  // Each append adds one field to the current row.
+
+  /// A decimal integer, as std::to_string spells it.
+  template <std::integral T>
+  void integer(T value) {
+    char* out = begin_field(kMaxIntegerChars);
+    used_ = static_cast<std::size_t>(
+        std::to_chars(out, out + kMaxIntegerChars, value).ptr - buf_.get());
+  }
+
+  /// "YYYY-MM-DD hh:mm:ss" (util::append_timestamp).
+  void timestamp(UnixSeconds t);
+
+  /// `value` with `precision` >= 0 digits after the point, as printf's
+  /// "%.*f" spells it (std::to_chars in fixed format).
+  void fixed(double value, int precision);
+
+  /// Free text, quoted per RFC 4180 if it holds a comma, quote, CR or LF.
+  void text(std::string_view field);
+
+  /// A field of at most `max_chars` bytes that `format(char* out)` writes
+  /// at `out`, returning the end; the bytes must need no quoting (e.g.
+  /// topology::Location::append_to).
+  template <class Format>
+  void append(std::size_t max_chars, Format&& format) {
+    char* out = begin_field(max_chars);
+    used_ = static_cast<std::size_t>(format(out) - buf_.get());
+  }
+
+  /// Ends the current row. Throws DomainError, and drops the row, if its
+  /// field count differs from the header's.
+  void end_row();
+
+  /// Appends one record of text fields; must have the header's arity.
   void write_row(const std::vector<std::string>& fields);
 
-  /// Flushes and closes; called automatically by the destructor.
+  /// Writes the buffered rows and closes the file. Throws IoError naming
+  /// the path if a block write or the close failed. A row without
+  /// end_row() is dropped.
   void close();
 
   std::size_t rows_written() const { return rows_; }
 
  private:
-  std::ofstream out_;
+  // Enough for any 64-bit integer ("-9223372036854775808").
+  static constexpr std::size_t kMaxIntegerChars = 20;
+
+  /// Adds the separator of a new field and makes room for `max_chars`
+  /// bytes after it; returns where the field's bytes go.
+  char* begin_field(std::size_t max_chars) {
+    if (capacity_ - used_ < max_chars + 1) grow(max_chars + 1);
+    if (fields_++ > 0) buf_[used_++] = ',';
+    return buf_.get() + used_;
+  }
+
+  void grow(std::size_t extra);
+  /// Writes the whole rows in the buffer and keeps the unfinished one.
+  void write_block();
+
+  std::string path_;
+  int fd_ = -1;
+  int error_ = 0;  ///< errno of the first failed write, 0 if none
+  std::unique_ptr<char[]> buf_;
+  std::size_t capacity_ = 0;
+  std::size_t used_ = 0;       ///< bytes in buf_
+  std::size_t row_start_ = 0;  ///< where the unfinished row begins
+  std::size_t fields_ = 0;     ///< fields of the unfinished row
   std::size_t arity_;
   std::size_t rows_ = 0;
 };

@@ -1,7 +1,9 @@
 #include "util/time.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 
 #include "util/error.hpp"
 
@@ -73,6 +75,13 @@ int parse_fixed_int(std::string_view s, std::size_t pos, std::size_t len) {
   return value;
 }
 
+/// Writes the two decimal digits of v in [0, 99].
+char* put2(char* out, int v) {
+  out[0] = static_cast<char>('0' + v / 10);
+  out[1] = static_cast<char>('0' + v % 10);
+  return out + 2;
+}
+
 }  // namespace
 
 UnixSeconds parse_timestamp(std::string_view text) {
@@ -95,12 +104,35 @@ UnixSeconds parse_timestamp(std::string_view text) {
   }
 }
 
-std::string format_timestamp(UnixSeconds t) {
+char* append_timestamp(char* out, UnixSeconds t) {
   const CivilTime ct = to_civil(t);
-  std::array<char, 32> buf{};
-  std::snprintf(buf.data(), buf.size(), "%04d-%02d-%02d %02d:%02d:%02d", ct.year,
-                ct.month, ct.day, ct.hour, ct.minute, ct.second);
-  return std::string(buf.data());
+  if (ct.year < 0 || ct.year > 9999) {
+    std::array<char, kMaxTimestampChars + 1> buf{};
+    const int n = std::snprintf(buf.data(), buf.size(),
+                                "%04d-%02d-%02d %02d:%02d:%02d", ct.year,
+                                ct.month, ct.day, ct.hour, ct.minute,
+                                ct.second);
+    const auto len = std::min(static_cast<std::size_t>(n), kMaxTimestampChars);
+    std::memcpy(out, buf.data(), len);
+    return out + len;
+  }
+  out = put2(out, ct.year / 100);
+  out = put2(out, ct.year % 100);
+  *out++ = '-';
+  out = put2(out, ct.month);
+  *out++ = '-';
+  out = put2(out, ct.day);
+  *out++ = ' ';
+  out = put2(out, ct.hour);
+  *out++ = ':';
+  out = put2(out, ct.minute);
+  *out++ = ':';
+  return put2(out, ct.second);
+}
+
+std::string format_timestamp(UnixSeconds t) {
+  char buf[kMaxTimestampChars];
+  return std::string(buf, append_timestamp(buf, t));
 }
 
 int hour_of_day(UnixSeconds t) {

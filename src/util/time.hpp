@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -53,7 +54,16 @@ CivilTime to_civil(UnixSeconds t);
 /// Throws ParseError on malformed input.
 UnixSeconds parse_timestamp(std::string_view text);
 
-/// Formats as "YYYY-MM-DD hh:mm:ss".
+/// Most bytes append_timestamp writes: an int year of up to 11 characters
+/// and "-MM-DD hh:mm:ss".
+inline constexpr std::size_t kMaxTimestampChars = 26;
+
+/// Writes `t` as "YYYY-MM-DD hh:mm:ss" at `out`, which has room for
+/// kMaxTimestampChars bytes, and returns the end. A year outside
+/// 0000-9999 is spelled as printf's "%04d" spells it.
+char* append_timestamp(char* out, UnixSeconds t);
+
+/// Formats as "YYYY-MM-DD hh:mm:ss" (append_timestamp into a string).
 std::string format_timestamp(UnixSeconds t);
 
 /// Hour of day in [0,24).

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -79,6 +81,81 @@ TEST_F(CsvFileTest, WriterRejectsWrongArity) {
   EXPECT_THROW(writer.write_row({"only-one"}), DomainError);
 }
 
+TEST_F(CsvFileTest, TypedAppendsRoundTrip) {
+  {
+    CsvWriter writer(path_, {"int", "neg", "time", "fixed", "text", "raw"});
+    writer.integer(std::uint64_t{18446744073709551615u});
+    writer.integer(-42);
+    writer.timestamp(1365465600);
+    writer.fixed(2.5, 3);
+    writer.text("a,\"b\"");
+    writer.append(4, [](char* out) {
+      for (const char c : {'R', '1', '7'}) *out++ = c;
+      return out;
+    });
+    writer.end_row();
+    writer.close();
+    EXPECT_EQ(writer.rows_written(), 1u);
+  }
+  std::ifstream in(path_, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes,
+            "int,neg,time,fixed,text,raw\n"
+            "18446744073709551615,-42,2013-04-09 00:00:00,2.500,"
+            "\"a,\"\"b\"\"\",R17\n");
+}
+
+TEST_F(CsvFileTest, EndRowRejectsWrongArityAndDropsTheRow) {
+  {
+    CsvWriter writer(path_, {"a", "b"});
+    writer.write_row({"1", "2"});
+    writer.integer(3);
+    EXPECT_THROW(writer.end_row(), DomainError);
+    writer.integer(4);
+    writer.integer(5);
+    writer.integer(6);
+    EXPECT_THROW(writer.end_row(), DomainError);
+    writer.write_row({"7", "8"});
+    writer.close();
+    EXPECT_EQ(writer.rows_written(), 2u);
+  }
+  std::ifstream in(path_, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, "a,b\n1,2\n7,8\n");
+}
+
+TEST_F(CsvFileTest, FieldsLargerThanABlockRoundTrip) {
+  // One field past the block size makes the buffer grow; many rows past
+  // it make the writer write more than one block.
+  std::string big(CsvWriter::kBlockBytes * 2 + 3, 'x');
+  big[7] = ',';
+  big[big.size() / 2] = '"';
+  const std::size_t rows = 3 * CsvWriter::kBlockBytes / 32;
+  {
+    CsvWriter writer(path_, {"id", "body"});
+    writer.integer(0);
+    writer.text(big);
+    writer.end_row();
+    for (std::size_t i = 1; i <= rows; ++i) {
+      writer.integer(i);
+      writer.text("twenty-seven bytes of text");
+      writer.end_row();
+    }
+    writer.close();
+  }
+  CsvReader reader(path_);
+  std::vector<std::string> row;
+  ASSERT_TRUE(reader.next(row));
+  EXPECT_EQ(row[1], big);
+  for (std::size_t i = 1; i <= rows; ++i) {
+    ASSERT_TRUE(reader.next(row));
+    ASSERT_EQ(row[0], std::to_string(i));
+  }
+  EXPECT_FALSE(reader.next(row));
+}
+
 TEST_F(CsvFileTest, ReaderRejectsWrongArity) {
   {
     std::ofstream out(path_);
@@ -117,6 +194,24 @@ TEST(CsvWriter, UnwritablePathThrows) {
 
 TEST(CsvWriter, EmptyHeaderThrows) {
   EXPECT_THROW(CsvWriter("/tmp/failmine_header.csv", {}), DomainError);
+}
+
+// A write that fails (here: no space left on the device) must not pass
+// unreported. close() throws naming the path, both when the failure hits
+// a full block mid-file and when it hits the last, partial block.
+TEST(CsvWriter, FullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const std::size_t rows : {std::size_t{1}, CsvWriter::kBlockBytes / 8}) {
+    CsvWriter writer("/dev/full", {"id", "text"});
+    for (std::size_t i = 0; i < rows; ++i) writer.write_row({"1", "abcd"});
+    try {
+      writer.close();
+      ADD_FAILURE() << "close() returned normally after " << rows << " rows";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

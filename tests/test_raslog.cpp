@@ -153,6 +153,12 @@ TEST_F(RasLogFile, CsvRoundTripPreservesEverything) {
   EXPECT_EQ(loaded.events()[1], log.events()[1]);
 }
 
+TEST(RasLog, WriteToFullDeviceThrows) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const RasLog log({make_event(1, 100)});
+  EXPECT_THROW(log.write_csv("/dev/full"), failmine::IoError);
+}
+
 TEST_F(RasLogFile, ReadRejectsWrongHeader) {
   {
     std::ofstream out(path_);
