@@ -12,7 +12,8 @@ set(FAILMINE_STREAM_REQUIRED_GAUGES
   stream.queue_depth
   stream.watermark_lag_s
   stream.ingest.occupancy
-  stream.reorder.buffered)
+  stream.reorder.buffered
+  stream.reorder.pinned_batches)
 
 # Histograms a successful replay must have exported.
 set(FAILMINE_STREAM_REQUIRED_HISTOGRAMS

@@ -7,7 +7,11 @@
 namespace failmine::stream {
 
 std::string StreamFleet::twin_name(std::size_t i) {
-  return "t" + std::to_string(i);
+  // Appended, not `"t" + std::to_string(i)`: GCC 12's -Wrestrict fires
+  // inside libstdc++'s operator+ at -O3.
+  std::string name(1, 't');
+  name += std::to_string(i);
+  return name;
 }
 
 StreamFleet::StreamFleet(FleetConfig config) : config_(std::move(config)) {

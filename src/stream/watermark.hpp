@@ -14,11 +14,13 @@
 // operator downstream (interruption clustering, rolling windows) sees
 // the same stream a batch pass over the sorted log would.
 //
-// The heap orders keys, not records: a buffered record is moved once
-// into a slot of an arena (freed slots are reused through a free list),
-// and the heap holds 24-byte {time, sequence, slot} keys. Releasing pops
-// the key and moves the record out of its slot, so a sift never moves a
-// record and a release never copies one.
+// The reorderer owns no records. Each arrival comes with a reference the
+// caller chose (the pipeline's router passes the record's batch and row)
+// and the heap orders 24-byte {time, sequence, ref} keys; a release
+// hands the reference back. The records stay where they arrived, so
+// holding one back moves nothing and releasing it copies nothing. With
+// lateness 0 the input is promised in order: an arrival is released as
+// it arrives and the heap is skipped.
 //
 // A record arriving with an event time already behind the watermark
 // violated the bound. It is counted as late and still released
@@ -39,50 +41,32 @@ namespace failmine::stream {
 
 class WatermarkReorderer {
  public:
+  /// The caller's name for an arrival, handed back when it is released.
+  using Ref = std::uint64_t;
+
   explicit WatermarkReorderer(std::int64_t max_lateness_seconds)
       : lateness_(max_lateness_seconds) {
     if (max_lateness_seconds < 0)
       throw failmine::DomainError("watermark lateness must be non-negative");
   }
 
-  /// True when the lateness bound is 0: the input is promised in order,
-  /// nothing is ever buffered, and every arrival is released as it
-  /// arrives. A caller may then keep records where they are and call
-  /// observe() on each instead of push().
-  bool passes_through() const { return lateness_ == 0; }
-
-  /// The bookkeeping push() does for one arrival, on the record in
-  /// place: the newest event time seen and the late count.
-  void observe(const StreamRecord& record) {
+  /// Feeds one arrival, named by `ref`; only its time and sequence are
+  /// read. Invokes `emit(Ref)` zero or more times with the references
+  /// whose release the arrival unlocked, in (time, sequence) order.
+  template <typename Emit>
+  void push(const StreamRecord& record, Ref ref, Emit&& emit) {
     if (!seen_any_ || record.time > max_seen_) {
       max_seen_ = record.time;
       seen_any_ = true;
     }
-    if (record.time < watermark()) ++late_records_;
-  }
-
-  /// Feeds one arrival; invokes `emit(StreamRecord&&)` zero or more times
-  /// with records whose release the arrival unlocked, in (time, sequence)
-  /// order.
-  template <typename Emit>
-  void push(StreamRecord&& record, Emit&& emit) {
-    observe(record);
-    if (passes_through()) {
-      emit(std::move(record));  // in-order fast path: nothing can overtake
+    const util::UnixSeconds frontier = watermark();
+    if (record.time < frontier) ++late_records_;
+    if (lateness_ == 0) {
+      emit(ref);  // in-order fast path: nothing can overtake
       return;
     }
-    Key key{record.time, record.sequence, 0};
-    if (free_.empty()) {
-      key.slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(std::move(record));
-    } else {
-      key.slot = free_.back();
-      free_.pop_back();
-      slots_[key.slot] = std::move(record);
-    }
-    heap_.push_back(key);
+    heap_.push_back({record.time, record.sequence, ref});
     std::push_heap(heap_.begin(), heap_.end(), ReleasesLater{});
-    const util::UnixSeconds frontier = watermark();
     while (!heap_.empty() && heap_.front().time < frontier) release(emit);
   }
 
@@ -111,11 +95,11 @@ class WatermarkReorderer {
   std::int64_t max_lateness_seconds() const { return lateness_; }
 
  private:
-  /// A buffered record's release key and the arena slot holding it.
+  /// A held-back record's release key and the caller's reference to it.
   struct Key {
     util::UnixSeconds time;
     std::uint64_t sequence;
-    std::uint32_t slot;
+    Ref ref;
   };
 
   struct ReleasesLater {
@@ -125,20 +109,17 @@ class WatermarkReorderer {
     }
   };
 
-  /// Pops the earliest key and hands its record downstream.
+  /// Pops the earliest key and hands its reference downstream.
   template <typename Emit>
   void release(Emit& emit) {
     std::pop_heap(heap_.begin(), heap_.end(), ReleasesLater{});
-    const std::uint32_t slot = heap_.back().slot;
+    const Ref ref = heap_.back().ref;
     heap_.pop_back();
-    free_.push_back(slot);
-    emit(std::move(slots_[slot]));
+    emit(ref);
   }
 
   const std::int64_t lateness_;
-  std::vector<Key> heap_;            ///< min-heap by (time, sequence)
-  std::vector<StreamRecord> slots_;  ///< buffered records, by slot
-  std::vector<std::uint32_t> free_;  ///< slots free for reuse
+  std::vector<Key> heap_;  ///< min-heap by (time, sequence)
   util::UnixSeconds max_seen_ = 0;
   bool seen_any_ = false;
   std::uint64_t late_records_ = 0;
