@@ -106,7 +106,10 @@ void BM_RingBuffer(benchmark::State& state) {
     std::thread consumer([&] {
       std::vector<int> out;
       out.reserve(256);
-      while (ring.pop_batch(out, 256) > 0) out.clear();
+      for (std::size_t n; (n = ring.pop_batch(out, 256)) > 0;) {
+        out.clear();
+        ring.release(n);
+      }
     });
     std::vector<int> batch;
     for (int i = 0; i < 1 << 16; i += 256) {

@@ -41,7 +41,7 @@ struct StreamSnapshot {
   std::array<std::uint64_t, 4> records_by_source{};  ///< job/task/ras/io
   util::UnixSeconds watermark = 0;
   std::int64_t watermark_lag_seconds = 0;
-  std::size_t queue_depth = 0;
+  std::size_t queue_depth = 0;  ///< queued or being applied at shards
   bool finished = false;
 
   // -- observation window ----------------------------------------------
