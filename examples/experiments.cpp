@@ -640,8 +640,10 @@ void x05(const ExperimentInput& in, std::FILE* out) {
   const auto study = core::user_reliability_study(a.jobs(), a.machine());
   std::fprintf(out, "users: %zu, of which %llu experienced a system kill\n",
                study.users.size(), ull(study.users_with_kills));
-  std::fprintf(out, "machine-wide exposure per kill: %.3e node-days\n",
-               study.machine_node_days_per_kill);
+  std::fprintf(out, "machine-wide exposure per kill: %s node-days\n",
+               util::format_double(study.machine_node_days_per_kill, 3,
+                                   util::FloatStyle::kScientific)
+                   .c_str());
   std::fprintf(out, "exposure vs kills Spearman rho: %.3f\n",
                study.exposure_kill_correlation);
   std::fprintf(out, "core-hours lost to system kills: %.3e\n",
@@ -656,9 +658,7 @@ void x05(const ExperimentInput& in, std::FILE* out) {
     std::fprintf(out, "  %-8u %8llu %10llu %14.3e %7.2f%% %12s\n", u.user_id,
                  ull(u.jobs), ull(u.system_kills), u.node_days,
                  100.0 * u.loss_fraction(),
-                 u.system_kills > 0
-                     ? util::format_double(u.node_days_between_kills, 0).c_str()
-                     : "inf");
+                 util::format_double(u.node_days_between_kills, 0).c_str());
   }
 }
 
@@ -753,8 +753,9 @@ void x08(const ExperimentInput& in, std::FILE* out) {
   std::fprintf(out, "%-10s %14s %16s %12s %12s\n", "nodes", "job MTBF (h)",
                "ckpt every (h)", "waste@opt", "waste bare");
   for (const auto& row : advice) {
-    std::fprintf(out, "%-10u %14.1f %16.2f %11.2f%% %11.2f%%\n", row.nodes,
-                 row.job_mtbf_hours, row.optimal_interval_hours,
+    std::fprintf(out, "%-10u %14s %16s %11.2f%% %11.2f%%\n", row.nodes,
+                 util::format_double(row.job_mtbf_hours, 1).c_str(),
+                 util::format_double(row.optimal_interval_hours, 2).c_str(),
                  100.0 * row.waste_at_optimum, 100.0 * row.waste_without);
   }
   std::fprintf(out,

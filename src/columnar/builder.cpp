@@ -6,7 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "ingest/loader.hpp"
 #include "iolog/io_record.hpp"
 #include "joblog/job.hpp"
 #include "obs/metrics.hpp"
@@ -14,6 +13,7 @@
 #include "raslog/event.hpp"
 #include "tasklog/task.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/time.hpp"
 
@@ -328,9 +328,9 @@ RasTable RasTableBuilder::merge(std::vector<RasTableBuilder> chunks,
       [&] { t.location.resize(n, topology::Location::rack(0, 0)); },
       [&] { t.job_id.resize(n); },
       [&] { t.text.resize(n, text_at[n_chunks]); }};
-  ingest::detail::run_parallel(std::size(presize), threads,
-                               [&](std::size_t i) { presize[i](); });
-  ingest::detail::run_parallel(n_chunks, threads, [&](std::size_t ci) {
+  util::run_parallel(std::size(presize), threads,
+                     [&](std::size_t i) { presize[i](); });
+  util::run_parallel(n_chunks, threads, [&](std::size_t ci) {
     RasTableBuilder& c = chunks[ci];
     const std::size_t at = row_at[ci];
     copy_slice(t.record_id, at, c.record_id_);

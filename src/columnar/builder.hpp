@@ -18,7 +18,7 @@
 //   1. Serial: fold the chunk message dictionaries (a few dozen entries)
 //      in file order, and compute each chunk's row and text-byte offsets
 //      in the merged table.
-//   2. Parallel (ingest::detail::run_parallel over the chunks, at the
+//   2. Parallel (util::run_parallel over the chunks, at the
 //      load's thread count): each chunk remaps its message codes, copies
 //      its columns and text into its own slice of the presized merged
 //      columns and frees its builder.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "ingest/loader.hpp"
+#include "util/parallel.hpp"
 
 namespace failmine::ingest {
 
@@ -25,7 +25,7 @@ std::vector<Chunk> plan_chunks(std::string_view data,
   // segment [k * nominal, (k + 1) * nominal); a serial prefix pass then
   // gives the parity at every candidate.
   std::vector<unsigned char> odd_quotes(target_chunks - 1);
-  detail::run_parallel(odd_quotes.size(), threads, [&](std::size_t k) {
+  util::run_parallel(odd_quotes.size(), threads, [&](std::size_t k) {
     const auto begin = data.begin() + static_cast<std::ptrdiff_t>(k * nominal);
     const auto quotes =
         std::count(begin, begin + static_cast<std::ptrdiff_t>(nominal), '"');

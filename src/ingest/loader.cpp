@@ -1,8 +1,6 @@
 #include "ingest/loader.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -11,9 +9,7 @@
 namespace failmine::ingest {
 
 unsigned effective_threads(const LoadOptions& options) {
-  if (options.threads != 0) return options.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return options.threads != 0 ? options.threads : util::hardware_threads();
 }
 
 bool use_serial_reader(const LoadOptions& options, Engine engine) {
@@ -65,46 +61,6 @@ LoadPlan open_and_plan(const std::string& path,
   registry.counter("ingest.bytes_mapped").add(content.size());
   registry.counter("ingest.chunks").add(plan.chunks.size());
   return plan;
-}
-
-void run_parallel(std::size_t n_tasks, unsigned threads,
-                  const std::function<void(std::size_t)>& fn) {
-  if (n_tasks == 0) return;
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, n_tasks));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n_tasks; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  // First catastrophic exception wins; parse failures never get here
-  // (the loader captures them in ChunkStats).
-  std::exception_ptr error;
-  std::atomic<bool> has_error{false};
-  std::mutex error_mutex;
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n_tasks) return;
-      if (has_error.load(std::memory_order_acquire)) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        has_error.store(true, std::memory_order_release);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
 }
 
 void flush_success(const char* records_counter, std::size_t rows,

@@ -41,7 +41,6 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <iterator>
 #include <string>
 #include <string_view>
@@ -52,6 +51,7 @@
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace failmine::ingest {
 
@@ -133,11 +133,6 @@ LoadPlan open_and_plan(const std::string& path,
                        const std::string& header_label,
                        const LoadOptions& options);
 
-/// Runs fn(0..n_tasks) on up to `threads` workers (inline when either is
-/// 1). Exceptions escaping `fn` are rethrown on the caller.
-void run_parallel(std::size_t n_tasks, unsigned threads,
-                  const std::function<void(std::size_t)>& fn);
-
 /// Success-path metric flush: parse.lines_total and `records_counter`
 /// advance by `rows`, and ingest.records_quoted by `quoted`, in one add
 /// each.
@@ -196,7 +191,7 @@ std::vector<Acc> load_csv_fold(const std::string& path,
   // early (their partial output is discarded by the merge anyway).
   std::atomic<std::size_t> first_failed{plan.chunks.size()};
 
-  detail::run_parallel(
+  util::run_parallel(
       plan.chunks.size(), effective_threads(options), [&](std::size_t ci) {
         FAILMINE_TRACE_SPAN("ingest.chunk");
         const Chunk& chunk = plan.chunks[ci];

@@ -53,16 +53,17 @@ const IoRecord& IoLog::by_job(std::uint64_t job_id) const {
 void IoLog::write_csv(const std::string& path) const {
   FAILMINE_TRACE_SPAN("iolog.write_csv");
   util::CsvWriter writer(path, io_csv_header());
-  for (const auto& r : records_) {
-    writer.integer(r.job_id);
-    writer.integer(r.bytes_read);
-    writer.integer(r.bytes_written);
-    writer.fixed(r.read_time_seconds, 3);
-    writer.fixed(r.write_time_seconds, 3);
-    writer.integer(r.files_accessed);
-    writer.integer(r.ranks_doing_io);
-    writer.end_row();
-  }
+  writer.write_rows(records_.size(), [this](util::CsvRowBuffer& row,
+                                            std::size_t i) {
+    const IoRecord& r = records_[i];
+    row.integer(r.job_id);
+    row.integer(r.bytes_read);
+    row.integer(r.bytes_written);
+    row.fixed(r.read_time_seconds, 3);
+    row.fixed(r.write_time_seconds, 3);
+    row.integer(r.files_accessed);
+    row.integer(r.ranks_doing_io);
+  });
   writer.close();
 }
 

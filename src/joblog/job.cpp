@@ -73,23 +73,24 @@ std::vector<JobRecord> JobLog::failures() const {
 void JobLog::write_csv(const std::string& path) const {
   FAILMINE_TRACE_SPAN("joblog.write_csv");
   util::CsvWriter writer(path, job_csv_header());
-  for (const auto& j : jobs_) {
-    writer.integer(j.job_id);
-    writer.integer(j.user_id);
-    writer.integer(j.project_id);
-    writer.text(j.queue);
-    writer.timestamp(j.submit_time);
-    writer.timestamp(j.start_time);
-    writer.timestamp(j.end_time);
-    writer.integer(j.nodes_used);
-    writer.integer(j.task_count);
-    writer.integer(j.requested_walltime);
-    writer.integer(j.exit_code);
-    writer.integer(j.exit_signal);
-    writer.text(exit_class_token(j.exit_class));
-    writer.integer(j.partition_first_midplane);
-    writer.end_row();
-  }
+  writer.write_rows(jobs_.size(), [this](util::CsvRowBuffer& row,
+                                         std::size_t i) {
+    const JobRecord& j = jobs_[i];
+    row.integer(j.job_id);
+    row.integer(j.user_id);
+    row.integer(j.project_id);
+    row.text(j.queue);
+    row.timestamp(j.submit_time);
+    row.timestamp(j.start_time);
+    row.timestamp(j.end_time);
+    row.integer(j.nodes_used);
+    row.integer(j.task_count);
+    row.integer(j.requested_walltime);
+    row.integer(j.exit_code);
+    row.integer(j.exit_signal);
+    row.text(exit_class_token(j.exit_class));
+    row.integer(j.partition_first_midplane);
+  });
   writer.close();
 }
 

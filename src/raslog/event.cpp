@@ -58,22 +58,23 @@ std::array<std::uint64_t, 3> RasLog::severity_counts() const {
 void RasLog::write_csv(const std::string& path) const {
   FAILMINE_TRACE_SPAN("raslog.write_csv");
   util::CsvWriter writer(path, ras_csv_header());
-  for (const auto& e : events_) {
-    writer.integer(e.record_id);
-    writer.timestamp(e.timestamp);
-    writer.text(e.message_id);
-    writer.text(severity_token(e.severity));
-    writer.text(component_token(e.component));
-    writer.text(category_token(e.category));
-    writer.append(topology::Location::kMaxChars,
-                  [&e](char* out) { return e.location.append_to(out); });
+  writer.write_rows(events_.size(), [this](util::CsvRowBuffer& row,
+                                           std::size_t i) {
+    const RasEvent& e = events_[i];
+    row.integer(e.record_id);
+    row.timestamp(e.timestamp);
+    row.text(e.message_id);
+    row.text(severity_token(e.severity));
+    row.text(component_token(e.component));
+    row.text(category_token(e.category));
+    row.append(topology::Location::kMaxChars,
+               [&e](char* out) { return e.location.append_to(out); });
     if (e.job_id)
-      writer.integer(*e.job_id);
+      row.integer(*e.job_id);
     else
-      writer.text({});
-    writer.text(e.text);
-    writer.end_row();
-  }
+      row.text({});
+    row.text(e.text);
+  });
   writer.close();
 }
 

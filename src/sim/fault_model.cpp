@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "raslog/message_catalog.hpp"
 #include "util/error.hpp"
@@ -142,26 +144,42 @@ std::vector<FatalEpisode> FaultModel::apply_system_failures(
   return episodes;
 }
 
+namespace {
+
+/// One event as generate_events draws it: the catalog entry stands in for
+/// the message id and text, so the draws sort as 32-byte records.
+struct EventDraw {
+  UnixSeconds time = 0;
+  std::uint64_t job_id = 0;  ///< meaningful only when has_job
+  std::uint16_t def = 0;     ///< index into raslog::message_catalog()
+  Location location = Location::rack(0, 0);
+  bool has_job = false;
+};
+static_assert(sizeof(EventDraw) == 32, "EventDraw is the sorted record");
+
+}  // namespace
+
 std::vector<raslog::RasEvent> FaultModel::generate_events(
     const std::vector<FatalEpisode>& episodes, util::Rng& rng) const {
-  std::vector<raslog::RasEvent> events;
-
   // Partition the catalog by severity once.
-  std::vector<const MessageDef*> background_defs;
+  const std::span<const MessageDef> catalog = raslog::message_catalog();
+  std::vector<std::uint16_t> background_defs;
   std::vector<double> background_weights;
-  std::vector<const MessageDef*> fatal_defs;
+  std::vector<std::uint16_t> fatal_defs;
   std::vector<double> fatal_weights;
-  std::vector<const MessageDef*> warn_defs;
+  std::vector<std::uint16_t> warn_defs;
   std::vector<double> warn_weights;
-  for (const MessageDef& def : raslog::message_catalog()) {
+  for (std::size_t d = 0; d < catalog.size(); ++d) {
+    const MessageDef& def = catalog[d];
+    const auto index = static_cast<std::uint16_t>(d);
     if (def.severity == Severity::kFatal) {
-      fatal_defs.push_back(&def);
+      fatal_defs.push_back(index);
       fatal_weights.push_back(def.rate_weight);
     } else {
-      background_defs.push_back(&def);
+      background_defs.push_back(index);
       background_weights.push_back(def.rate_weight);
       if (def.severity == Severity::kWarn) {
-        warn_defs.push_back(&def);
+        warn_defs.push_back(index);
         warn_weights.push_back(def.rate_weight);
       }
     }
@@ -170,31 +188,32 @@ std::vector<raslog::RasEvent> FaultModel::generate_events(
   const util::AliasTable fatal_table(fatal_weights);
   const util::AliasTable warn_table(warn_weights);
 
-  auto emit = [&](const MessageDef& def, UnixSeconds time,
-                  const Location& board) {
-    raslog::RasEvent e;
-    e.timestamp = time;
-    e.message_id = std::string(def.id);
-    e.severity = def.severity;
-    e.component = def.component;
-    e.category = def.category;
-    e.location = at_level(board, def.level, rng);
-    e.text = std::string(def.text);
-    events.push_back(std::move(e));
+  const double bg_rate_per_sec =
+      config_.ras_background_per_day * config_.scale / 86400.0;
+  const UnixSeconds end = config_.observation_end();
+  // Room for the expected count and a margin, so the draws are never
+  // copied as they grow.
+  const auto expected = static_cast<std::size_t>(
+      bg_rate_per_sec * static_cast<double>(end - config_.observation_start) +
+      static_cast<double>(episodes.size()) *
+          (config_.fatal_events_per_episode + 3.0));
+  std::vector<EventDraw> draws;
+  draws.reserve(expected + expected / 32 + 1024);
+
+  auto emit = [&](std::uint16_t def, UnixSeconds time, const Location& board) {
+    draws.push_back(
+        EventDraw{time, 0, def, at_level(board, catalog[def].level, rng)});
   };
 
   // 1. Background chatter: one homogeneous Poisson stream, message type
   // drawn per event from the catalog weights, location from the locality
   // mixture.
-  const double bg_rate_per_sec =
-      config_.ras_background_per_day * config_.scale / 86400.0;
-  const UnixSeconds end = config_.observation_end();
   UnixSeconds t = config_.observation_start;
   while (bg_rate_per_sec > 0) {
     t += static_cast<UnixSeconds>(
         std::max(1.0, rng.exponential(bg_rate_per_sec)));
     if (t >= end) break;
-    const MessageDef& def = *background_defs[background_table.sample(rng)];
+    const std::uint16_t def = background_defs[background_table.sample(rng)];
     emit(def, t, locality_board(rng));
   }
 
@@ -203,7 +222,7 @@ std::vector<raslog::RasEvent> FaultModel::generate_events(
     const std::uint64_t n_fatal =
         1 + rng.poisson(std::max(0.0, config_.fatal_events_per_episode - 1.0));
     for (std::uint64_t i = 0; i < n_fatal; ++i) {
-      const MessageDef& def = *fatal_defs[fatal_table.sample(rng)];
+      const std::uint16_t def = fatal_defs[fatal_table.sample(rng)];
       // The initial event fires exactly at the episode instant on the
       // origin board (it is what killed the job); the rest of the burst
       // trails it. 75 % of the burst stays on the origin board; the rest
@@ -221,17 +240,46 @@ std::vector<raslog::RasEvent> FaultModel::generate_events(
                             config_.machine.boards_per_midplane))));
       }
       emit(def, ep.time + offset, board);
-      if (ep.victim_job && i == 0) events.back().job_id = *ep.victim_job;
+      if (ep.victim_job && i == 0) {
+        draws.back().job_id = *ep.victim_job;
+        draws.back().has_job = true;
+      }
     }
     // Precursor warnings in the minutes before the episode.
     const std::uint64_t n_warn = rng.poisson(3.0);
     for (std::uint64_t i = 0; i < n_warn; ++i) {
-      const MessageDef& def = *warn_defs[warn_table.sample(rng)];
+      const std::uint16_t def = warn_defs[warn_table.sample(rng)];
       const UnixSeconds lead = static_cast<UnixSeconds>(
           rng.exponential(1.0 / (2.0 * config_.episode_duration_seconds)));
       const UnixSeconds when = ep.time > lead ? ep.time - lead : ep.time;
       emit(def, when, ep.origin);
     }
+  }
+
+  // std::sort, not std::stable_sort: the trace has events with equal
+  // times, and their order is the one std::sort gives this comparator on
+  // this draw order (the logs' bytes are pinned to it).
+  std::sort(draws.begin(), draws.end(),
+            [](const EventDraw& a, const EventDraw& b) {
+              return a.time < b.time;
+            });
+
+  std::vector<raslog::RasEvent> events;
+  events.reserve(draws.size());
+  for (const EventDraw& d : draws) {
+    const MessageDef& def = catalog[d.def];
+    raslog::RasEvent& e = events.emplace_back();
+    e.record_id = events.size();
+    e.timestamp = d.time;
+    e.message_id = def.id;
+    e.severity = def.severity;
+    e.component = def.component;
+    e.category = def.category;
+    e.location = d.location;
+    if (d.has_job) e.job_id = d.job_id;
+    // A new string has exactly the text's capacity; assigning into the
+    // empty one would round texts of 16 to 29 bytes up to 30.
+    e.text = std::string(def.text);
   }
   return events;
 }

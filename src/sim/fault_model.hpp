@@ -47,8 +47,10 @@ class FaultModel {
       std::vector<joblog::JobRecord>& jobs, util::Rng& rng) const;
 
   /// Expands episodes into FATAL bursts and adds background INFO/WARN
-  /// chatter; events come back unsorted and without record ids (the
-  /// simulator assigns ids after the final sort).
+  /// chatter. Events come back in non-decreasing time order with record
+  /// ids 1..n in that order: the draws are sorted once by std::sort on
+  /// time, so events with equal times keep the order that sort gives
+  /// them, and each RasEvent is built once, in place.
   std::vector<raslog::RasEvent> generate_events(
       const std::vector<FatalEpisode>& episodes, util::Rng& rng) const;
 

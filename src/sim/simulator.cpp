@@ -113,18 +113,14 @@ SimResult simulate(const SimConfig& config) {
                                              {"tasks", tasks.size()}});
 
   SimResult result;
-  result.job_log = joblog::JobLog(std::move(jobs));
-  result.task_log = tasklog::TaskLog(std::move(tasks));
-
-  // Sort events by time, then assign ascending record ids.
-  std::sort(events.begin(), events.end(),
-            [](const raslog::RasEvent& a, const raslog::RasEvent& b) {
-              return a.timestamp < b.timestamp;
-            });
-  for (std::size_t i = 0; i < events.size(); ++i) events[i].record_id = i + 1;
-  result.ras_log = raslog::RasLog(std::move(events));
-
-  result.io_log = iolog::IoLog(std::move(io_records));
+  {
+    FAILMINE_TRACE_SPAN("sim.logs");
+    result.job_log = joblog::JobLog(std::move(jobs));
+    result.task_log = tasklog::TaskLog(std::move(tasks));
+    // generate_events returns the events sorted and numbered.
+    result.ras_log = raslog::RasLog(std::move(events));
+    result.io_log = iolog::IoLog(std::move(io_records));
+  }
   result.episodes = std::move(episodes);
   return result;
 }

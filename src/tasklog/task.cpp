@@ -31,40 +31,47 @@ void TaskLog::finalize() {
   };
   if (!std::is_sorted(tasks_.begin(), tasks_.end(), less))
     std::stable_sort(tasks_.begin(), tasks_.end(), less);
-  by_job_.clear();
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
-    by_job_[tasks_[i].job_id].push_back(i);
+}
+
+std::span<const TaskRecord> TaskLog::job_range(std::uint64_t job_id) const {
+  struct ByJob {
+    bool operator()(const TaskRecord& t, std::uint64_t id) const {
+      return t.job_id < id;
+    }
+    bool operator()(std::uint64_t id, const TaskRecord& t) const {
+      return id < t.job_id;
+    }
+  };
+  const auto [first, last] =
+      std::equal_range(tasks_.begin(), tasks_.end(), job_id, ByJob{});
+  return {first, last};
 }
 
 std::vector<TaskRecord> TaskLog::tasks_of_job(std::uint64_t job_id) const {
-  std::vector<TaskRecord> out;
-  const auto it = by_job_.find(job_id);
-  if (it == by_job_.end()) return out;
-  out.reserve(it->second.size());
-  for (std::size_t i : it->second) out.push_back(tasks_[i]);
-  return out;
+  const std::span<const TaskRecord> tasks = job_range(job_id);
+  return {tasks.begin(), tasks.end()};
 }
 
 std::size_t TaskLog::task_count(std::uint64_t job_id) const {
-  const auto it = by_job_.find(job_id);
-  return it == by_job_.end() ? 0 : it->second.size();
+  return job_range(job_id).size();
 }
 
 void TaskLog::write_csv(const std::string& path) const {
   FAILMINE_TRACE_SPAN("tasklog.write_csv");
   util::CsvWriter writer(path, task_csv_header());
-  for (const auto& t : tasks_) {
-    writer.integer(t.task_id);
-    writer.integer(t.job_id);
-    writer.integer(t.sequence);
-    writer.timestamp(t.start_time);
-    writer.timestamp(t.end_time);
-    writer.integer(t.nodes_used);
-    writer.integer(t.ranks_per_node);
-    writer.integer(t.exit_code);
-    writer.integer(t.exit_signal);
-    writer.end_row();
-  }
+  writer.write_rows(tasks_.size(), [this](util::CsvRowBuffer& row,
+                                          std::size_t i) {
+    const TaskRecord& t = tasks_[i];
+    row.integer(t.task_id);
+    row.integer(t.job_id);
+    row.integer(t.sequence);
+    row.timestamp(t.start_time);
+    row.timestamp(t.end_time);
+    row.integer(t.nodes_used);
+    row.integer(t.ranks_per_node);
+    row.integer(t.exit_code);
+    row.integer(t.exit_signal);
+  });
   writer.close();
 }
 

@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ingest/loader.hpp"
@@ -50,7 +50,8 @@ const std::vector<std::string>& task_csv_header();
 /// afterwards.
 void parse_csv_row(const util::FieldVec& row, TaskRecord& out);
 
-/// In-memory task log with a per-job index.
+/// In-memory task log, sorted by job: a job's tasks are one contiguous
+/// run, found by binary search.
 class TaskLog {
  public:
   TaskLog() = default;
@@ -62,7 +63,7 @@ class TaskLog {
 
   void append(TaskRecord task);
   /// Sorts by (job_id, sequence), keeping the append order of equal keys
-  /// (as the columnar merge does), and rebuilds the per-job index.
+  /// (as the columnar merge does).
   void finalize();
 
   /// Tasks belonging to a job, in sequence order (empty if none).
@@ -81,8 +82,10 @@ class TaskLog {
                           ingest::Engine engine = ingest::Engine::kAuto);
 
  private:
+  /// The run of tasks_ whose job_id is `job_id`.
+  std::span<const TaskRecord> job_range(std::uint64_t job_id) const;
+
   std::vector<TaskRecord> tasks_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_job_;
 };
 
 }  // namespace failmine::tasklog

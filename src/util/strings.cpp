@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 
@@ -79,10 +80,15 @@ double parse_double(std::string_view s) {
   return value;
 }
 
-std::string format_double(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return std::string(buf);
+std::string format_double(double v, int precision, FloatStyle style) {
+  if (std::isnan(v)) return "n/a";
+  if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
+  const char* const format = style == FloatStyle::kFixed ? "%.*f" : "%.*e";
+  std::string out(
+      static_cast<std::size_t>(std::snprintf(nullptr, 0, format, precision, v)),
+      '\0');
+  std::snprintf(out.data(), out.size() + 1, format, precision, v);
+  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -31,8 +31,18 @@ std::uint32_t parse_u32(std::string_view s);
 /// Parses a double; throws ParseError on junk.
 double parse_double(std::string_view s);
 
-/// Formats a double with fixed precision (no locale surprises).
-std::string format_double(double v, int precision = 6);
+/// How format_double spells a finite value.
+enum class FloatStyle {
+  kFixed,       ///< printf's "%.*f"
+  kScientific,  ///< printf's "%.*e"
+};
+
+/// Formats a double with `precision` digits after the point, as printf
+/// does in the "C" locale (no locale surprises). The spelling of the
+/// non-finite values C leaves to the library, so they are spelled here:
+/// "inf", "-inf", and "n/a" for NaN.
+std::string format_double(double v, int precision = 6,
+                          FloatStyle style = FloatStyle::kFixed);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -107,6 +107,15 @@ TEST_F(FaultModelTest, GeneratedEventsCoverAllSeverities) {
   EXPECT_GT(counts[2], 0u);
 }
 
+TEST_F(FaultModelTest, EventsComeBackSortedAndNumbered) {
+  const auto events = faults_.generate_events(episodes_, rng_);
+  ASSERT_GT(events.size(), 1000u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].record_id, i + 1);
+    if (i > 0) ASSERT_GE(events[i].timestamp, events[i - 1].timestamp);
+  }
+}
+
 TEST_F(FaultModelTest, FatalEventsClusterNearEpisodes) {
   const auto events = faults_.generate_events(episodes_, rng_);
   // Every FATAL must be within a handful of episode durations of some

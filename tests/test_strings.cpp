@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -77,6 +78,21 @@ TEST(Strings, ParseDouble) {
 TEST(Strings, FormatDoublePrecision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(2.0, 0), "2");
+}
+
+// printf leaves the spelling of infinities and NaN to the C library
+// ("inf" or "infinity", "nan" or "-nan"); format_double spells them
+// itself, in both styles.
+TEST(Strings, FormatDoubleSpellsNonFiniteValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const FloatStyle style : {FloatStyle::kFixed, FloatStyle::kScientific}) {
+    EXPECT_EQ(format_double(kInf, 1, style), "inf");
+    EXPECT_EQ(format_double(-kInf, 1, style), "-inf");
+    EXPECT_EQ(format_double(nan, 1, style), "n/a");
+    EXPECT_EQ(format_double(-nan, 1, style), "n/a");
+  }
+  EXPECT_EQ(format_double(12345.678, 3, FloatStyle::kScientific), "1.235e+04");
 }
 
 TEST(Strings, StartsWith) {
