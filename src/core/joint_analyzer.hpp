@@ -6,6 +6,11 @@
 // each headline analysis as one method. The paper tables of
 // `failmine_cli experiments` and the takeaway report are thin formatters
 // over this class.
+//
+// The const analyses hold no mutable state: they only read the logs and
+// the totals fixed at construction, so any of them may run concurrently
+// with any other on one analyzer (the takeaway report runs them side by
+// side).
 
 #pragma once
 

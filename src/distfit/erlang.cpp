@@ -17,7 +17,7 @@ double Erlang::pdf(double x) const {
   if (x == 0) return k_ == 1 ? rate_ : 0.0;
   const double k = static_cast<double>(k_);
   return std::exp(k * std::log(rate_) + (k - 1.0) * std::log(x) - rate_ * x -
-                  std::lgamma(k));
+                  stats::log_gamma(k));
 }
 
 double Erlang::cdf(double x) const {

@@ -164,7 +164,7 @@ Erlang fit_erlang(std::span<const double> sample, int k_max) {
   for (int k = 1; k <= k_max; ++k) {
     const double kd = static_cast<double>(k);
     const double ll = n * kd * std::log(kd / m) + (kd - 1.0) * sum_log -
-                      kd * n - n * std::lgamma(kd);
+                      kd * n - n * stats::log_gamma(kd);
     if (ll > best_ll) {
       best_ll = ll;
       best_k = k;

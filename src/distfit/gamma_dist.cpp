@@ -16,7 +16,7 @@ double GammaDist::pdf(double x) const {
   if (x < 0) return 0.0;
   if (x == 0) return shape_ < 1.0 ? 0.0 : (shape_ == 1.0 ? 1.0 / scale_ : 0.0);
   return std::exp((shape_ - 1.0) * std::log(x) - x / scale_ -
-                  std::lgamma(shape_) - shape_ * std::log(scale_));
+                  stats::log_gamma(shape_) - shape_ * std::log(scale_));
 }
 
 double GammaDist::cdf(double x) const {

@@ -8,6 +8,11 @@
 
 namespace failmine::stats {
 
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 namespace {
 
 constexpr int kMaxIterations = 500;
@@ -24,7 +29,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Continued-fraction representation of Q(a, x), valid for x >= a + 1.
@@ -46,7 +51,7 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+  return std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "util/csv.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -333,10 +334,29 @@ void format_rows(std::size_t n, std::size_t arity, std::size_t rows_per_range,
 
 }  // namespace detail
 
+namespace {
+
+/// Unlinks `path` if it names a regular file with one link that the
+/// process may write, so that the open after it creates a new inode:
+/// truncating a file just written waits for its writeback on ext4
+/// (auto_da_alloc), while unlinking it does not. Devices, FIFOs,
+/// symlinks, files with a second hard link and failed unlinks are left
+/// to the O_TRUNC open.
+void unlink_if_replaceable(const std::string& path) {
+  struct stat st;
+  if (::lstat(path.c_str(), &st) != 0) return;
+  if (!S_ISREG(st.st_mode) || st.st_nlink != 1) return;
+  if (::faccessat(AT_FDCWD, path.c_str(), W_OK, AT_EACCESS) != 0) return;
+  ::unlink(path.c_str());
+}
+
+}  // namespace
+
 CsvWriter::CsvWriter(const std::string& path,
                      const std::vector<std::string>& header)
     : path_(path), arity_(header.size()) {
   if (header.empty()) throw DomainError("CSV header must not be empty");
+  unlink_if_replaceable(path);
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd_ < 0) throw IoError("cannot open for writing: " + path);
   CsvRowBuffer line(arity_);

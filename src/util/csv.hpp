@@ -209,6 +209,14 @@ class CsvWriter {
 
   /// Opens `path` for writing and writes the header. Throws DomainError
   /// on an empty header and IoError if the file cannot be opened.
+  ///
+  /// An existing regular file with one link that the process may write is
+  /// replaced, not truncated: it is unlinked first, so the writer makes a
+  /// new inode, owned by the process, with the mode 0666 & ~umask, and a
+  /// reader that still holds the old file open keeps reading the old
+  /// bytes. Anything else (a device such as /dev/full, a FIFO, a symlink,
+  /// a file with a second hard link, a write-protected file, or a path
+  /// whose unlink fails) is opened with O_TRUNC and written in place.
   CsvWriter(const std::string& path, const std::vector<std::string>& header);
 
   /// Closes the file if close() has not; a write error found here is

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <csignal>
@@ -18,6 +19,12 @@
 namespace failmine::util {
 namespace {
 
+std::string read_path(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 class CsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -28,11 +35,7 @@ class CsvFileTest : public ::testing::Test {
                 .string();
   }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string read_file() const {
-    std::ifstream in(path_, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }
+  std::string read_file() const { return read_path(path_); }
   std::string path_;
 };
 
@@ -337,6 +340,50 @@ TEST_F(CsvFileTest, WriteFailingMidFileThrows) {
     }
   }
   EXPECT_EQ(std::filesystem::file_size(path_), kLimit);
+}
+
+void write_one_row(const std::string& path) {
+  CsvWriter writer(path, {"a", "b"});
+  writer.write_row({"1", "2"});
+  writer.close();
+}
+
+// Writing over a longer file leaves exactly the new bytes. The writer
+// replaces the file rather than truncating it, so a reader that held the
+// old file open still reads the old bytes.
+TEST_F(CsvFileTest, RewritingALongerFileLeavesOnlyTheNewBytes) {
+  const std::string old_bytes(100000, 'x');
+  std::ofstream(path_, std::ios::binary) << old_bytes;
+  std::ifstream held(path_, std::ios::binary);
+  ASSERT_TRUE(held);
+  write_one_row(path_);
+  EXPECT_EQ(read_file(), "a,b\n1,2\n");
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(held),
+                        std::istreambuf_iterator<char>()),
+            old_bytes);
+}
+
+// A file with a second hard link is rewritten in place, so both names
+// read the new bytes; so is the target of a symlink, which stays a link.
+TEST_F(CsvFileTest, RewritingALinkedFileWritesInPlace) {
+  const std::string hard = path_ + ".hard";
+  const std::string soft = path_ + ".soft";
+  std::ofstream(path_, std::ios::binary) << std::string(100000, 'x');
+  if (::link(path_.c_str(), hard.c_str()) != 0 ||
+      ::symlink(path_.c_str(), soft.c_str()) != 0) {
+    std::remove(hard.c_str());
+    GTEST_SKIP() << "cannot link in the temporary directory";
+  }
+  write_one_row(path_);
+  EXPECT_EQ(read_file(), "a,b\n1,2\n");
+  EXPECT_EQ(read_path(hard), "a,b\n1,2\n");
+  std::filesystem::remove(hard);
+
+  std::ofstream(path_, std::ios::binary) << std::string(100000, 'y');
+  write_one_row(soft);
+  EXPECT_TRUE(std::filesystem::is_symlink(soft));
+  EXPECT_EQ(read_file(), "a,b\n1,2\n");
+  std::filesystem::remove(soft);
 }
 
 class CsvWriterRanges : public CsvFileTest {

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <iterator>
 #include <utility>
 
+#include "analysis/structure.hpp"
 #include "core/distfit_study.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
 
 namespace failmine::core {
 namespace {
@@ -334,6 +337,68 @@ TEST_F(ReportTest, FitsKeepTheirPinnedValues) {
       fit_sample(analyzer_->interruption_analysis(filter).mtti.intervals_days),
       intervals);
   expect_pinned(analyzer_->interruption_interval_fit(filter), intervals);
+}
+
+TEST_F(ReportTest, ConcurrentCallsGiveEqualResults) {
+  // The report runs its analyses on worker threads; two reports at once
+  // share the analyzer and must still agree with each other, field by
+  // field and bit for bit.
+  ReportConfig rc;
+  rc.trace_scale = config_->scale;
+  auto other = std::async(std::launch::async,
+                          [&] { return evaluate_takeaways(*analyzer_, rc); });
+  const auto here = evaluate_takeaways(*analyzer_, rc);
+  const auto there = other.get();
+  ASSERT_EQ(here.size(), std::size(kPinnedTakeaways));
+  EXPECT_EQ(here, there);
+}
+
+TEST_F(ReportTest, ThrowsWhatTheSerialOrderMeetsFirst) {
+  // Every job takes 512 nodes, so T-B2's failure rate by scale has one
+  // bucket and its trend throws. Only two users submit, so E10, the first
+  // task of the report's table, throws too. The serial order calls the
+  // T-B2 trend first, so that is the error the report must throw.
+  std::vector<joblog::JobRecord> records;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    joblog::JobRecord j;
+    j.job_id = i + 1;
+    j.user_id = 1 + i % 2;
+    j.project_id = 1 + i % 2;
+    j.queue = "prod-short";
+    j.submit_time = 1'400'000'000 + 3600 * static_cast<std::int64_t>(i);
+    j.start_time = j.submit_time + 60;
+    j.end_time = j.start_time + 600 * static_cast<std::int64_t>(i + 1);
+    j.nodes_used = 512;
+    j.task_count = 1 + i % 3;
+    j.requested_walltime = 86400;
+    j.exit_class = i % 2 == 0 ? joblog::ExitClass::kUserAppError
+                              : joblog::ExitClass::kSuccess;
+    records.push_back(j);
+  }
+  const joblog::JobLog jobs(std::move(records));
+  const tasklog::TaskLog tasks;
+  const raslog::RasLog ras;
+  const iolog::IoLog io;
+  const JointAnalyzer analyzer(jobs, tasks, ras, io, config_->machine);
+  const auto error_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const failmine::Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  ASSERT_EQ(error_of([&] { analyzer.ras_user_correlations(); }),
+            "domain error: too few users to correlate");
+  // T-B3 has three task-count buckets, so its trend, which throws the
+  // same message, does not.
+  ASSERT_EQ(error_of([&] {
+              analysis::bucket_trend(
+                  analysis::failure_rate_by_task_count(jobs));
+            }),
+            "no error");
+  EXPECT_EQ(error_of([&] { evaluate_takeaways(analyzer, ReportConfig{}); }),
+            "domain error: bucket_trend needs >= 2 populated buckets");
 }
 
 TEST(ReportUnit, JsonEscapesSpecialCharacters) {

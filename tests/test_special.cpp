@@ -19,6 +19,16 @@ TEST(Special, GammaPBoundaries) {
   EXPECT_THROW(gamma_p(1.0, -1.0), failmine::DomainError);
 }
 
+// log_gamma is std::lgamma without the global sign store, so the fits
+// keep their bits: every value equals the library's, negative
+// non-integers included.
+TEST(Special, LogGammaEqualsStdLgamma) {
+  for (const double x : {1e-300, 1e-8, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 171.5,
+                         1e6, 1e300, -0.5, -2.5, -100.25}) {
+    EXPECT_EQ(log_gamma(x), std::lgamma(x)) << x;
+  }
+}
+
 TEST(Special, GammaPMatchesExponentialCdf) {
   // P(1, x) = 1 - exp(-x).
   for (double x : {0.1, 0.5, 1.0, 2.0, 5.0}) {
